@@ -162,7 +162,8 @@ def _digest(data: bytes) -> str:
 
 
 def _canonical(obj) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode()
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True,
+                      allow_nan=False).encode()
 
 
 def make_manifest(command: str, params: dict, seed: int | None,
@@ -181,7 +182,7 @@ def dump_json(payload: dict, manifest: dict | None = None) -> str:
     if manifest is not None:
         doc["manifest"] = dict(manifest)
         doc["manifest"]["payload_sha256"] = _digest(_canonical(payload))
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, payload: dict, manifest: dict | None = None) -> None:
@@ -200,4 +201,4 @@ def write_csv(path, fields, rows: list[dict],
         doc = dict(manifest)
         doc["payload_sha256"] = _digest(text.encode())
         Path(str(path) + ".manifest.json").write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+            json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")

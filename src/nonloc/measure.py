@@ -9,13 +9,12 @@ ray, outcome bit 1 the projector onto its orthogonal complement.
 from __future__ import annotations
 
 import itertools
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, SignalingDistribution
-from .qstate import DensityMatrix, PureState, _check_n, _frozen
+from .qstate import DensityMatrix, PureState, _check_finite, _check_n, _frozen
 
 
 @dataclass(frozen=True)
@@ -28,6 +27,7 @@ class Ray:
     def __post_init__(self):
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
+        _check_finite(np.array([self.c0, self.c1]), "ray")
         if abs(self.c0) ** 2 + abs(self.c1) ** 2 < 1e-24:
             raise ValueError("ray has numerically zero norm")
 
@@ -99,6 +99,7 @@ class JointDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {p.shape}")
+        _check_finite(p, "distribution")
         if p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min():.3e}")
         rows = p.sum(axis=1)
@@ -107,43 +108,43 @@ class JointDistribution:
         object.__setattr__(self, "p", _frozen(p))
 
 
-def _setting_bit(s: int, n: int, k: int) -> int:
-    return (s >> (n - k)) & 1
-
-
-def _einsum_spec(n: int) -> str:
-    lower = string.ascii_lowercase[:n]
-    upper = string.ascii_uppercase[:n]
-    ops = ",".join(f"{u}{l}" for u, l in zip(upper, lower))
-    return f"{ops},{lower}->{upper}"
+def _contract_parties(x: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
+    """Apply ops[k] (4 x d) to party k + 1's axis of size d, one matrix
+    product per party; the result has axes (s1 r1 s2 r2 ... sn rn)."""
+    for op in ops:
+        x = x.reshape(op.shape[1], -1).T @ op.T
+    return x.reshape((2,) * (2 * len(ops)))
 
 
 def born_distribution(state, settings: MeasurementSettings) -> JointDistribution:
-    """Joint distribution of all 2^n setting choices on a pure or mixed state."""
+    """Joint distribution of all 2^n setting choices on a pure or mixed state.
+
+    Each party's four outcome bras, indexed by (setting bit, outcome bit),
+    form one 4 x 2 array that is contracted into the state tensor, party by
+    party.  For a density matrix the 4 x 4 array of projectors |k><k| is
+    contracted into that party's ket and bra axes together, which keeps only
+    the diagonal in (setting, outcome).  No intermediate exceeds 4^n entries,
+    so a table costs O(n 4^n).  The axes (s1 r1 ... sn rn) are then reordered
+    to p[s][r], with party 1 in the most significant bit of s and of r.
+    """
     n = settings.n
     if state.n != n:
         raise DimensionMismatch(f"state has {state.n} parties, settings {n}")
-    bras = [[np.stack([k0.conj(), k1.conj()])
-             for k0, k1 in (settings.outcome_kets(k, sb) for sb in (0, 1))]
+    bras = [np.stack([ket.conj() for sb in (0, 1)
+                      for ket in settings.outcome_kets(k, sb)])
             for k in range(1, n + 1)]
-    dim = 2 ** n
-    p = np.empty((dim, dim))
     if isinstance(state, PureState):
-        spec = _einsum_spec(n)
-        t = state.tensor()
-        for s in range(dim):
-            mats = [bras[k][_setting_bit(s, n, k + 1)] for k in range(n)]
-            amps = np.einsum(spec, *mats, t)
-            p[s] = np.abs(amps.reshape(-1)) ** 2
+        p = np.abs(_contract_parties(state.amplitudes, bras)) ** 2
     elif isinstance(state, DensityMatrix):
-        for s in range(dim):
-            w = bras[0][_setting_bit(s, n, 1)]
-            for k in range(1, n):
-                w = np.kron(w, bras[k][_setting_bit(s, n, k + 1)])
-            p[s] = np.einsum("ij,jk,ik->i", w, state.entries, w.conj()).real
+        rho = state.entries.reshape((2,) * (2 * n))
+        rho = rho.transpose([a for k in range(n) for a in (k, n + k)])
+        projectors = [np.einsum("xi,xj->xij", b, b.conj()).reshape(4, 4)
+                      for b in bras]
+        p = _contract_parties(rho, projectors).real
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return JointDistribution(n, p)
+    p = p.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return JointDistribution(n, p.reshape(2 ** n, 2 ** n))
 
 
 def ns_residual(d: JointDistribution) -> float:
@@ -151,11 +152,9 @@ def ns_residual(d: JointDistribution) -> float:
     the marginal seen by the others."""
     n = d.n
     t = d.p.reshape((2,) * (2 * n))
-    worst = 0.0
-    for k in range(n):
-        marg = t.sum(axis=n + k)
-        worst = max(worst, float(np.abs(np.diff(marg, axis=k)).max()))
-    return worst
+    # np.max, unlike Python's max, propagates a NaN entry
+    return float(np.max([np.abs(np.diff(t.sum(axis=n + k), axis=k)).max()
+                         for k in range(n)]))
 
 
 def marginal(d: JointDistribution, subset, settings_bits, outcome_bits,

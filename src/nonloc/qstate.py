@@ -23,6 +23,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains NaN or infinite values")
+
+
 def _check_n(n: int) -> None:
     if not 2 <= n <= MAX_PARTIES:
         raise ValueError(f"party count must be between 2 and {MAX_PARTIES}, got {n}")
@@ -40,6 +45,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.size != 2 ** self.n:
             raise ValueError(f"expected {2 ** self.n} amplitudes, got {amp.size}")
+        _check_finite(amp, "state vector")
         norm = np.linalg.norm(amp)
         if norm < 1e-12:
             raise ValueError("state vector is numerically zero")
@@ -63,6 +69,7 @@ class DensityMatrix:
         rho = np.asarray(self.entries, dtype=complex)
         if rho.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {rho.shape}")
+        _check_finite(rho, "density matrix")
         if np.abs(rho - rho.conj().T).max() > 1e-12:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
@@ -93,6 +100,7 @@ class SymmetricState:
         h = np.asarray(self.h, dtype=complex).reshape(-1)
         if h.size != self.n + 1:
             raise ValueError(f"expected {self.n + 1} Dicke coefficients, got {h.size}")
+        _check_finite(h, "Dicke coefficients")
         weights = np.array([math.comb(self.n, k) for k in range(self.n + 1)])
         norm = math.sqrt(float(weights @ (np.abs(h) ** 2)))
         if norm < 1e-12:
@@ -275,17 +283,24 @@ def haar_random_pure(n: int, seed: int) -> PureState:
     return PureState(n, v)
 
 
-def genuine_entanglement_check(psi: PureState, eps: float) -> bool:
+def genuine_entanglement_check(psi: PureState | SymmetricState, eps: float) -> bool:
     """True when the state is entangled across every bipartition.
 
     The criterion is that the second-largest Schmidt coefficient across each
-    cut exceeds eps.
+    cut exceeds eps.  A symmetric state gives the same Schmidt coefficients
+    on every cut with k parties on one side, so only the cuts {1..k} | rest
+    for k = 1..n//2 are checked, each in the Dicke bases of its two sides:
+    there the coefficient matrix is h[i + j] sqrt(C(k, i) C(n - k, j)).
     """
-    t = psi.tensor()
-    for cut in Bipartition.all(psi.n):
-        axes = [p - 1 for p in cut.alpha] + [p - 1 for p in cut.complement()]
-        m = t.transpose(axes).reshape(2 ** len(cut.alpha), -1)
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[1] <= eps:
-            return False
-    return True
+    if isinstance(psi, SymmetricState):
+        n = psi.n
+        mats = [np.array([[psi.h[i + j] * math.sqrt(math.comb(k, i) * math.comb(n - k, j))
+                           for j in range(n - k + 1)] for i in range(k + 1)])
+                for k in range(1, n // 2 + 1)]
+    else:
+        t = psi.tensor()
+        mats = []
+        for cut in Bipartition.all(psi.n):
+            axes = [p - 1 for p in cut.alpha] + [p - 1 for p in cut.complement()]
+            mats.append(t.transpose(axes).reshape(2 ** len(cut.alpha), -1))
+    return all(np.linalg.svd(m, compute_uv=False)[1] > eps for m in mats)

@@ -291,8 +291,7 @@ def solve_auto(s: SymmetricState, entanglement_eps: float = 1e-8) -> SymmetricSo
     the original state."""
     if s.n < 3:
         raise ValueError("symmetric solver requires at least 3 parties")
-    psi = dicke_expand(s)
-    if not genuine_entanglement_check(psi, entanglement_eps):
+    if not genuine_entanglement_check(s, entanglement_eps):
         raise NotEntangled("state is within eps of a product across some cut")
     sm, u = to_magic_basis(s)
     w = phase_pick(sm)
@@ -305,7 +304,7 @@ def solve_auto(s: SymmetricState, entanglement_eps: float = 1e-8) -> SymmetricSo
     t = _pick_modulus(excluded)
     sol = solve_settings(sm, t * cmath.exp(1j * w))
     settings = sol.settings.transformed(u.conj().T)
-    report = hardy_conditions(born_distribution(psi, settings), pivot=1,
+    report = hardy_conditions(born_distribution(dicke_expand(s), settings), pivot=1,
                               eps_zero=1e-8, delta_pos=1e-10)
     if not report.passed:
         raise NumericalFailure(

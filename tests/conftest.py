@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonloc import (MeasurementSettings, Ray, SymmetricState, dicke_expand,
+from nonloc import (MeasurementSettings, Ray, SymmetricState,
                     genuine_entanglement_check, solve_auto)
 
 
@@ -11,7 +11,7 @@ def random_symmetric(n: int, rng: np.random.Generator,
     while True:
         h = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         s = SymmetricState(n, h)
-        if not entangled or genuine_entanglement_check(dicke_expand(s), 1e-4):
+        if not entangled or genuine_entanglement_check(s, 1e-4):
             return s
 
 

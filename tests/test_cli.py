@@ -144,6 +144,26 @@ def test_classify_rejects_two_parties(tmp_path, capsys):
     assert main(["classify", str(dist)]) == 2
 
 
+@pytest.mark.parametrize("value", ("NaN", "Infinity"))
+@pytest.mark.parametrize("command", (["hardy", "--distribution"], ["classify"]))
+def test_non_finite_distribution_file_is_a_usage_error(tmp_path, capsys,
+                                                      value, command):
+    p = np.full((8, 8), 0.125)
+    p[0, 0] = float(value)
+    dist = tmp_path / "bad.json"
+    dist.write_text(json.dumps({"n": 3, "p": p.tolist()}))
+    assert value in dist.read_text()
+    assert main(command + [str(dist)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_json_dumps_refuse_non_finite():
+    with pytest.raises(ValueError):
+        fileio.dump_json({"p_success": float("nan")})
+    with pytest.raises(ValueError):
+        fileio.dump_json({"ok": 1}, {"tol": float("inf")})
+
+
 def test_experiment_reruns_are_byte_identical(tmp_path, capsys):
     args = ["experiment", "--n", "3", "--count", "3", "--seed", "5",
             "--multistarts", "8"]

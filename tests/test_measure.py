@@ -32,6 +32,31 @@ def test_ray_rejects_zero_vector():
         Ray(0.0, 0.0)
 
 
+@pytest.mark.parametrize("c0, c1", ((np.nan, 0.0), (1.0, np.inf),
+                                    (complex(0.0, np.nan), 1.0)))
+def test_ray_rejects_non_finite(c0, c1):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        Ray(c0, c1)
+
+
+def test_distribution_rejects_non_finite():
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        JointDistribution(3, np.full((8, 8), np.nan))
+    p = np.full((4, 4), 0.25)
+    p[2, 1] = np.inf
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        JointDistribution(2, p)
+
+
+def test_ns_residual_propagates_nan():
+    # the constructor rejects NaN, so hand the residual a bare table
+    class Table:
+        n = 2
+        p = np.full((4, 4), np.nan)
+
+    assert np.isnan(ns_residual(Table()))
+
+
 def test_ghz_z_basis_distribution():
     d = born_distribution(GHZ3, z_settings(3))
     assert abs(d.p[0, 0b000] - 0.5) < 1e-12
@@ -62,6 +87,41 @@ def test_density_path_matches_pure_path(rng):
     dp = born_distribution(psi, s)
     dr = born_distribution(DensityMatrix.from_pure(psi), s)
     assert np.allclose(dp.p, dr.p, atol=1e-12)
+
+
+def kron_reference(state, s):
+    """p[s][r] from one explicit Kronecker product of bras per setting s."""
+    n = s.n
+    dim = 2 ** n
+    p = np.empty((dim, dim))
+    for si in range(dim):
+        w = np.ones((1, 1))
+        for k in range(1, n + 1):
+            ket0, ket1 = s.outcome_kets(k, (si >> (n - k)) & 1)
+            w = np.kron(w, np.stack([ket0, ket1]).conj())
+        if isinstance(state, PureState):
+            p[si] = np.abs(w @ state.amplitudes) ** 2
+        else:
+            p[si] = np.diag(w @ state.entries @ w.conj().T).real
+    return p
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pure_born_table_matches_kron_reference(n, rng):
+    psi = PureState(n, rng.standard_normal(2 ** n)
+                    + 1j * rng.standard_normal(2 ** n))
+    s = random_settings(n, rng)
+    assert np.abs(born_distribution(psi, s).p - kron_reference(psi, s)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_density_born_table_matches_kron_reference(n, rng):
+    dim = 2 ** n
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    rho = DensityMatrix(n, rho / np.trace(rho).real)
+    s = random_settings(n, rng)
+    assert np.abs(born_distribution(rho, s).p - kron_reference(rho, s)).max() < 1e-12
 
 
 def test_born_rejects_mismatched_parties():

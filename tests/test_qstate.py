@@ -21,6 +21,20 @@ def test_pure_state_rejects_wrong_length():
         PureState(3, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0.0, -np.inf)))
+def test_state_constructors_reject_non_finite(bad):
+    amps = np.full(8, 0.5, dtype=complex)
+    amps[3] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        PureState(3, amps)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        SymmetricState(3, amps[:4])
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 1] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        DensityMatrix(2, rho)
+
+
 def test_pure_state_amplitudes_frozen():
     psi = PureState(2, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
@@ -160,3 +174,57 @@ def test_entanglement_check_cases():
     bell_and_spectator[0b000] = 1 / np.sqrt(2)
     bell_and_spectator[0b110] = 1 / np.sqrt(2)
     assert not genuine_entanglement_check(PureState(3, bell_and_spectator), 1e-4)
+
+
+def second_schmidt_min(psi):
+    """Smallest second Schmidt coefficient of psi over all 2^(n-1) - 1 cuts."""
+    t = psi.tensor()
+    worst = np.inf
+    for cut in Bipartition.all(psi.n):
+        axes = [p - 1 for p in cut.alpha] + [p - 1 for p in cut.complement()]
+        m = t.transpose(axes).reshape(2 ** len(cut.alpha), -1)
+        worst = min(worst, np.linalg.svd(m, compute_uv=False)[1])
+    return worst
+
+
+def assert_symmetric_check_agrees(s, eps):
+    assert genuine_entanglement_check(s, eps) == genuine_entanglement_check(
+        dicke_expand(s), eps)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_symmetric_entanglement_check_matches_all_cuts(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        s = random_symmetric(n, rng, entangled=False)
+        m = second_schmidt_min(dicke_expand(s))
+        for eps in (1e-8, 1e-4, m * (1 - 1e-6), m * (1 + 1e-6), 0.5):
+            assert_symmetric_check_agrees(s, eps)
+        assert genuine_entanglement_check(s, m * (1 - 1e-6))
+        assert not genuine_entanglement_check(s, m * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_symmetric_entanglement_check_ghz_w_and_products(n):
+    for theta in (0.0, 0.1, np.pi / 4, 1.3, np.pi / 2):
+        s = SymmetricState.ghz(n, theta)
+        assert_symmetric_check_agrees(s, 1e-8)
+        assert genuine_entanglement_check(s, 1e-8) == (0.0 < theta < np.pi / 2)
+    assert genuine_entanglement_check(SymmetricState.w(n), 1e-8)
+    assert_symmetric_check_agrees(SymmetricState.w(n), 1e-8)
+    rng = np.random.default_rng(200 + n)
+    for _ in range(3):
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        product = SymmetricState(n, [a ** (n - k) * b ** k for k in range(n + 1)])
+        assert not genuine_entanglement_check(product, 1e-8)
+        assert_symmetric_check_agrees(product, 1e-8)
+
+
+@pytest.mark.parametrize("n", (3, 6, 8))
+@pytest.mark.parametrize("factor", (1 - 1e-6, 1 + 1e-6))
+def test_symmetric_entanglement_check_at_eps(n, factor):
+    # GHZ(theta) has Schmidt coefficients cos(theta), sin(theta) on every cut
+    eps = 1e-8
+    s = SymmetricState.ghz(n, np.arcsin(eps * factor))
+    assert genuine_entanglement_check(s, eps) == (factor > 1)
+    assert_symmetric_check_agrees(s, eps)
