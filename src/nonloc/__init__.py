@@ -15,11 +15,11 @@ from .errors import (DegenerateSettings, DegenerateX, DimensionMismatch,
                      NonUniqueSolution, NotEntangled, NumericalFailure,
                      OptimizerDidNotConverge, SignalingDistribution,
                      SingularDenominator, VanishingSuccess)
-from .hardy import (HardyReport, HardySubspace, construct_hardy_state,
-                    hardy_conditions, inequality1, inequality2,
-                    mixed_state_check)
+from .hardy import (HardyReport, HardySubspace, condition_cells,
+                    construct_hardy_state, hardy_conditions, inequality1,
+                    inequality2, mixed_state_check)
 from .measure import (JointDistribution, MeasurementSettings, Ray,
-                      born_distribution, marginal, ns_residual)
+                      amplitude_table, born_distribution, ns_residual)
 from .polytope import (BoxVertex, LPOutcome, ModelVertexSet,
                        bilocal_ns_vertices, classify,
                        deterministic_local_vertices, lp_membership,
@@ -32,8 +32,8 @@ from .search import (ExperimentRecord, ExperimentSummary, NoSettingsFound,
                      SearchConfig, find_settings, random_experiment)
 from .symmetric import (CCoeffs, SymmetricSolution, c_coeffs,
                         degenerate_x_roots, f_poly_roots, ghz_closed_form,
-                        phase_admissibility, phase_pick, solve_auto,
-                        solve_settings, w_closed_form)
+                        phase_pick, solve_auto, solve_settings,
+                        w_closed_form)
 
 __all__ = [
     "__version__",
@@ -44,12 +44,12 @@ __all__ = [
     "PureState", "DensityMatrix", "SymmetricState", "Bipartition",
     "dicke_expand", "closest_product_state", "to_magic_basis",
     "haar_random_pure", "genuine_entanglement_check",
-    "Ray", "MeasurementSettings", "JointDistribution", "born_distribution",
-    "ns_residual", "marginal",
-    "HardyReport", "HardySubspace", "hardy_conditions", "inequality1",
-    "inequality2", "construct_hardy_state", "mixed_state_check",
+    "Ray", "MeasurementSettings", "JointDistribution", "amplitude_table",
+    "born_distribution", "ns_residual",
+    "HardyReport", "HardySubspace", "condition_cells", "hardy_conditions",
+    "inequality1", "inequality2", "construct_hardy_state", "mixed_state_check",
     "CCoeffs", "SymmetricSolution", "c_coeffs", "degenerate_x_roots",
-    "f_poly_roots", "phase_pick", "phase_admissibility", "solve_settings",
+    "f_poly_roots", "phase_pick", "solve_settings",
     "solve_auto", "ghz_closed_form", "w_closed_form",
     "BoxVertex", "ModelVertexSet", "LPOutcome", "ns_bipartite_vertices",
     "deterministic_local_vertices", "bilocal_ns_vertices", "lp_membership",

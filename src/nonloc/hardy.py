@@ -8,10 +8,15 @@ Conditions, for a pivot party k' (default 1):
     P(1_k' 1_k 0_rest | b_k' b_k a_rest) = 0   for every k != k'
 A distribution satisfying the zero conditions with positive success
 probability cannot be reproduced by any bilocal non-signaling model.
+
+`condition_cells` is the one definition of these cells of the table p[s][r];
+the conditions, both witnesses, the subspace, the numerical search and the
+symmetric solver all read them from it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,90 +47,69 @@ class HardySubspace:
     phi: PureState
 
 
-def _mask(n: int, k: int) -> int:
-    return 1 << (n - k)
+@functools.lru_cache(maxsize=None)
+def condition_cells(n: int, pivot: int = 1,
+                    standard: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the test in p[s][r], as two read-only index arrays (s, r):
+    cell i is p[s[i]][r[i]], so p[condition_cells(n)] holds the 2n values.
+
+    Cell 0 is the success cell (a..a, 0..0); cells 1..n are the first-group
+    zero cells (b_k a_rest, 0..0) for k = 1..n; the rest are the pair cells
+    (b_k' b_k a_rest, 1_k' 1_k 0_rest) for k != k' in ascending k, or with
+    standard=True the single all-ones cell (b..b, 1..1), the form that GHZ
+    states can pass.
+    """
+    if not 1 <= pivot <= n:
+        raise ValueError(f"pivot must be in 1..{n}, got {pivot}")
+    bit = [1 << (n - k) for k in range(1, n + 1)]
+    cells = [(0, 0)] + [(m, 0) for m in bit]
+    if standard:
+        cells.append((2 ** n - 1, 2 ** n - 1))
+    else:
+        cells += [(bit[pivot - 1] | m, bit[pivot - 1] | m)
+                  for k, m in enumerate(bit, 1) if k != pivot]
+    return tuple(_frozen(a) for a in np.array(cells).T)
 
 
 def hardy_conditions(d: JointDistribution, pivot: int = 1, eps_zero: float = 1e-9,
                      delta_pos: float = 1e-6, standard: bool = False) -> HardyReport:
-    """Evaluate the test conditions on a joint distribution.
-
-    With standard=True the n-1 pairwise conditions are replaced by the single
-    all-ones condition P(1..1|b..b) = 0, the form that GHZ states can pass.
-    """
-    n = d.n
-    if not 1 <= pivot <= n:
-        raise ValueError(f"pivot must be in 1..{n}, got {pivot}")
-    p_success = float(d.p[0, 0])
-    residuals = [abs(float(d.p[_mask(n, k), 0])) for k in range(1, n + 1)]
-    if standard:
-        ones = 2 ** n - 1
-        residuals.append(abs(float(d.p[ones, ones])))
-    else:
-        for k in range(1, n + 1):
-            if k == pivot:
-                continue
-            idx = _mask(n, pivot) | _mask(n, k)
-            residuals.append(abs(float(d.p[idx, idx])))
+    """Evaluate the test conditions on a joint distribution; zero_residuals
+    follow the order of `condition_cells`."""
+    values = d.p[condition_cells(d.n, pivot, standard)]
+    p_success = float(values[0])
+    residuals = tuple(np.abs(values[1:]).tolist())
     passed = p_success > delta_pos and max(residuals) < eps_zero
-    return HardyReport(pivot, p_success, tuple(residuals), passed)
+    return HardyReport(pivot, p_success, residuals, passed)
 
 
 def inequality1(d: JointDistribution, pivot: int = 1) -> float:
     """Pivot-form Bell functional; nonpositive on every bilocal NS model."""
-    n = d.n
-    value = float(d.p[0, 0])
-    for k in range(1, n + 1):
-        value -= float(d.p[_mask(n, k), 0])
-    for k in range(1, n + 1):
-        if k == pivot:
-            continue
-        idx = _mask(n, pivot) | _mask(n, k)
-        value -= float(d.p[idx, idx])
-    return value
+    values = d.p[condition_cells(d.n, pivot)]
+    return float(values[0] - values[1:].sum())
 
 
 def inequality2(d: JointDistribution) -> float:
     """Symmetrized Bell functional averaging the pairwise terms over every
     ordered pivot pair; also nonpositive on every bilocal NS model."""
     n = d.n
-    value = float(d.p[0, 0])
-    for k in range(1, n + 1):
-        value -= float(d.p[_mask(n, k), 0])
-    pair_sum = 0.0
-    for kp in range(1, n + 1):
-        for k in range(1, n + 1):
-            if k == kp:
-                continue
-            idx = _mask(n, kp) | _mask(n, k)
-            pair_sum += float(d.p[idx, idx])
-    return value - pair_sum / (n - 1)
-
-
-def _product_column(kets) -> np.ndarray:
-    out = kets[0]
-    for k in kets[1:]:
-        out = np.kron(out, k)
-    return out
+    values = d.p[condition_cells(n)]
+    pair_sum = sum(d.p[condition_cells(n, kp)][n + 1:].sum()
+                   for kp in range(1, n + 1))
+    return float(values[0] - values[1:n + 1].sum() - pair_sum / (n - 1))
 
 
 def _basis_columns(settings: MeasurementSettings) -> np.ndarray:
-    """The 2n normalized product vectors: a_I, then b_k a_rest for each k,
-    then (b_1 b_k)-complement pairs a_rest for k = 2..n."""
+    """The 2n normalized product kets of the test cells of pivot 1, in the
+    order of `condition_cells`."""
     n = settings.n
-    a = [settings.pairs[k][0].ket() for k in range(n)]
-    b = [settings.pairs[k][1].ket() for k in range(n)]
-    bbar = [settings.pairs[k][1].orthogonal().ket() for k in range(n)]
-    cols = [_product_column(a)]
-    for k in range(n):
-        kets = list(a)
-        kets[k] = b[k]
-        cols.append(_product_column(kets))
-    for k in range(1, n):
-        kets = list(a)
-        kets[0] = bbar[0]
-        kets[k] = bbar[k]
-        cols.append(_product_column(kets))
+    kets = [b.conj() for b in settings.outcome_bras()]
+    cols = []
+    for s, r in zip(*condition_cells(n)):
+        col = np.ones(1)
+        for k in range(n):
+            shift = n - 1 - k
+            col = np.kron(col, kets[k][2 * (s >> shift & 1) + (r >> shift & 1)])
+        cols.append(col)
     return np.column_stack(cols)
 
 

@@ -8,12 +8,11 @@ ray, outcome bit 1 the projector onto its orthogonal complement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SignalingDistribution
+from .errors import DimensionMismatch
 from .qstate import DensityMatrix, PureState, _check_finite, _check_n, _frozen
 
 
@@ -74,6 +73,13 @@ class MeasurementSettings:
         ray = self.pairs[k - 1][setting_bit]
         return ray.ket(), ray.orthogonal().ket()
 
+    def outcome_bras(self) -> list[np.ndarray]:
+        """Each party's four outcome bras as one 4 x 2 array, row
+        2 * setting bit + outcome bit."""
+        return [np.stack([ket.conj() for sb in (0, 1)
+                          for ket in self.outcome_kets(k, sb)])
+                for k in range(1, self.n + 1)]
+
     def transformed(self, u: np.ndarray) -> "MeasurementSettings":
         """Apply the same single-qubit matrix to every ray."""
         pairs = tuple(
@@ -116,35 +122,44 @@ def _contract_parties(x: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
     return x.reshape((2,) * (2 * len(ops)))
 
 
+def _table(x: np.ndarray, n: int) -> np.ndarray:
+    """Reorder axes (s1 r1 ... sn rn) to a 2^n x 2^n table t[s][r], with
+    party 1 in the most significant bit of s and of r."""
+    x = x.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return x.reshape(2 ** n, 2 ** n)
+
+
+def amplitude_table(amplitudes: np.ndarray, bras) -> np.ndarray:
+    """A[s][r] = <cell ket|psi> for a raw (unnormalized) amplitude vector and
+    each party's 4 x 2 stack of outcome bras, indexed (setting bit, outcome
+    bit).  The Born table of a unit vector is |A|^2."""
+    return _table(_contract_parties(amplitudes, bras), len(bras))
+
+
 def born_distribution(state, settings: MeasurementSettings) -> JointDistribution:
     """Joint distribution of all 2^n setting choices on a pure or mixed state.
 
-    Each party's four outcome bras, indexed by (setting bit, outcome bit),
-    form one 4 x 2 array that is contracted into the state tensor, party by
-    party.  For a density matrix the 4 x 4 array of projectors |k><k| is
-    contracted into that party's ket and bra axes together, which keeps only
-    the diagonal in (setting, outcome).  No intermediate exceeds 4^n entries,
-    so a table costs O(n 4^n).  The axes (s1 r1 ... sn rn) are then reordered
-    to p[s][r], with party 1 in the most significant bit of s and of r.
+    Each party's four outcome bras form one 4 x 2 array that is contracted
+    into the state tensor, party by party.  For a density matrix the 4 x 4
+    array of projectors |k><k| is contracted into that party's ket and bra
+    axes together, which keeps only the diagonal in (setting, outcome).  No
+    intermediate exceeds 4^n entries, so a table costs O(n 4^n).
     """
     n = settings.n
     if state.n != n:
         raise DimensionMismatch(f"state has {state.n} parties, settings {n}")
-    bras = [np.stack([ket.conj() for sb in (0, 1)
-                      for ket in settings.outcome_kets(k, sb)])
-            for k in range(1, n + 1)]
+    bras = settings.outcome_bras()
     if isinstance(state, PureState):
-        p = np.abs(_contract_parties(state.amplitudes, bras)) ** 2
+        p = np.abs(amplitude_table(state.amplitudes, bras)) ** 2
     elif isinstance(state, DensityMatrix):
         rho = state.entries.reshape((2,) * (2 * n))
         rho = rho.transpose([a for k in range(n) for a in (k, n + k)])
         projectors = [np.einsum("xi,xj->xij", b, b.conj()).reshape(4, 4)
                       for b in bras]
-        p = _contract_parties(rho, projectors).real
+        p = _table(_contract_parties(rho, projectors).real, n)
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    p = p.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return JointDistribution(n, p.reshape(2 ** n, 2 ** n))
+    return JointDistribution(n, p)
 
 
 def ns_residual(d: JointDistribution) -> float:
@@ -155,34 +170,3 @@ def ns_residual(d: JointDistribution) -> float:
     # np.max, unlike Python's max, propagates a NaN entry
     return float(np.max([np.abs(np.diff(t.sum(axis=n + k), axis=k)).max()
                          for k in range(n)]))
-
-
-def marginal(d: JointDistribution, subset, settings_bits, outcome_bits,
-             tol: float = 1e-8) -> float:
-    """Marginal probability of outcomes on a subset, given that subset's settings.
-
-    Computed in every setting context of the complement; the contexts must
-    agree within tol (otherwise the table signals) and their mean is returned.
-    """
-    n = d.n
-    subset = tuple(subset)
-    if any(not 1 <= k <= n for k in subset) or len(set(subset)) != len(subset):
-        raise ValueError(f"bad subset {subset} for {n} parties")
-    if len(settings_bits) != len(subset) or len(outcome_bits) != len(subset):
-        raise ValueError("settings/outcome bit counts must match the subset")
-    others = [k for k in range(1, n + 1) if k not in subset]
-    t = d.p.reshape((2,) * (2 * n))
-    values = []
-    for ctx in itertools.product((0, 1), repeat=len(others)):
-        index: list = [slice(None)] * (2 * n)
-        for k, sb, rb in zip(subset, settings_bits, outcome_bits):
-            index[k - 1] = sb
-            index[n + k - 1] = rb
-        for k, sb in zip(others, ctx):
-            index[k - 1] = sb
-        values.append(float(t[tuple(index)].sum()))
-    spread = max(values) - min(values)
-    if spread > tol:
-        raise SignalingDistribution(
-            f"marginal varies by {spread:.3e} across complement settings")
-    return float(np.mean(values))

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .hardy import hardy_conditions
-from .measure import MeasurementSettings, Ray, born_distribution
+from .hardy import condition_cells, hardy_conditions
+from .measure import MeasurementSettings, Ray, amplitude_table, born_distribution
 from .polytope import bilocal_ns_vertices, lp_membership
 from .qstate import PureState, genuine_entanglement_check, haar_random_pure
 
@@ -76,28 +76,11 @@ def _orth(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])])
 
 
-def _overlap(psi_t: np.ndarray, kets) -> complex:
-    """<k_1 ... k_n | psi> via one tensor contraction."""
-    t = psi_t
-    for k in kets:
-        t = np.tensordot(k.conj(), t, axes=(0, 0))
-    return complex(t)
-
-
-def _constraint_overlaps(psi_t: np.ndarray, a, b):
-    """Overlaps of the state with a_I and the 2n-1 constraint vectors."""
-    n = len(a)
-    out = [_overlap(psi_t, a)]
-    for k in range(n):
-        kets = list(a)
-        kets[k] = b[k]
-        out.append(_overlap(psi_t, kets))
-    for k in range(1, n):
-        kets = list(a)
-        kets[0] = _orth(b[0])
-        kets[k] = _orth(b[k])
-        out.append(_overlap(psi_t, kets))
-    return np.array(out)
+def _cell_amplitudes(psi: np.ndarray, a, b) -> np.ndarray:
+    """<cell ket|psi> at the test cells of pivot 1, for unit kets a_k, b_k
+    per party: the success amplitude, then the 2n - 1 zero-cell amplitudes."""
+    bras = [np.stack([ak, _orth(ak), bk, _orth(bk)]).conj() for ak, bk in zip(a, b)]
+    return amplitude_table(psi, bras)[condition_cells(len(a))]
 
 
 def _angles_to_rays(params: np.ndarray, n: int):
@@ -126,18 +109,6 @@ def _eliminate_b(psi_t: np.ndarray, a):
     return us
 
 
-def _pair_residuals(psi_t: np.ndarray, a, us) -> np.ndarray:
-    """The n-1 pairwise zero-condition amplitudes, with b-bar_k = u_k."""
-    n = len(a)
-    vals = []
-    for k in range(1, n):
-        kets = list(a)
-        kets[0] = us[0]
-        kets[k] = us[k]
-        vals.append(_overlap(psi_t, kets))
-    return np.array(vals)
-
-
 def find_settings(psi: PureState, cfg: SearchConfig):
     """Search for settings passing the test with pivot 1 on a pure state.
 
@@ -158,7 +129,7 @@ def _find_settings(psi: PureState, cfg: SearchConfig, stats: dict | None):
         nonlocal fevals
         fevals += 1
         a, b = _angles_to_rays(params, n)
-        ov = _constraint_overlaps(psi_t, a, b)
+        ov = _cell_amplitudes(psi.amplitudes, a, b)
         return float((np.abs(ov[1:]) ** 2).sum() - cfg.mu * abs(ov[0]) ** 2)
 
     def pair_objective(a_params: np.ndarray) -> float:
@@ -168,7 +139,8 @@ def _find_settings(psi: PureState, cfg: SearchConfig, stats: dict | None):
         us = _eliminate_b(psi_t, a)
         if us is None:
             return np.inf
-        return float((np.abs(_pair_residuals(psi_t, a, us)) ** 2).sum())
+        ov = _cell_amplitudes(psi.amplitudes, a, [_orth(u) for u in us])
+        return float((np.abs(ov[n + 1:]) ** 2).sum())
 
     best_residual = np.inf
     best_success = 0.0
@@ -196,7 +168,7 @@ def _find_settings(psi: PureState, cfg: SearchConfig, stats: dict | None):
         if us is None:
             continue
         b = [_orth(u) for u in us]
-        ov = _constraint_overlaps(psi_t, a, b)
+        ov = _cell_amplitudes(psi.amplitudes, a, b)
         residual = float((np.abs(ov[1:]) ** 2).sum())
         success = abs(ov[0]) ** 2
         if residual < best_residual:

@@ -22,8 +22,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateX, IdenticallyZeroF, IdenticallyZeroPolynomial,
                      NotEntangled, NumericalFailure, SingularDenominator)
-from .measure import MeasurementSettings, born_distribution
-from .hardy import hardy_conditions
+from .measure import MeasurementSettings, amplitude_table, born_distribution
+from .hardy import condition_cells, hardy_conditions
 from .qstate import SymmetricState, dicke_expand, genuine_entanglement_check, to_magic_basis
 
 _EXCLUSION_MARGIN = 1e-6
@@ -97,7 +97,8 @@ def degenerate_x_roots(s: SymmetricState) -> tuple[complex, ...]:
     for r in roots:
         c = c_coeffs(s, r)
         m = np.array([[c.c0, c.c1], [c.c1, c.c2]])
-        if np.linalg.svd(m, compute_uv=False)[1] >= 1e-8:
+        sv = np.linalg.svd(m, compute_uv=False)
+        if sv[1] >= 1e-8 * max(1.0, sv[0]):
             raise NumericalFailure(f"degeneracy root {r} fails the rank-1 check")
     order = np.argsort(np.abs(roots), kind="stable")
     return tuple(complex(r) for r in roots[order])
@@ -156,19 +157,6 @@ def phase_pick(s: SymmetricState) -> float:
     return w % (2 * math.pi)
 
 
-def phase_admissibility(s: SymmetricState, w: float) -> tuple[bool, bool]:
-    """Diagnostic pair for a candidate phase: whether h0 h2* e^{-2iw} is
-    non-real (the criterion consistent with x^2 carrying phase 2w), and the
-    same question for h0* h2 e^{-iw} (the first-order variant)."""
-    h0, h2 = complex(s.h[0]), complex(np.conj(s.h[2]))
-
-    def nonreal(z: complex) -> bool:
-        return abs(z.imag) > 1e-12 * max(1.0, abs(z))
-
-    return (nonreal(h0 * h2 * cmath.exp(-2j * w)),
-            nonreal(np.conj(h0) * np.conj(h2) * cmath.exp(-1j * w)))
-
-
 def _guard_x(s: SymmetricState, x: complex, margin: float) -> tuple[float, ...]:
     """Raise DegenerateX when x sits within margin of an excluded value;
     returns the excluded moduli for the solution record."""
@@ -208,12 +196,14 @@ def solve_settings(s: SymmetricState, x: complex,
                   np.conj(c.c1) - y1 * np.conj(c.c0), "y")
     x1 = _safe_div(-(c.c0 + y * c.c1), c.c1 + y * c.c2, "x1")
 
+    # psi12 = <a^(n-2)|psi> on parties 1 and 2; rest_norm is the squared
+    # norm of the unnormalized a rays of parties 3..n
     psi12 = np.array([c.c0, c.c1, c.c1, c.c2])
     rest_norm = (1.0 + abs(x) ** 2) ** (s.n - 2)
-    succ = psi12 @ np.array([1.0, x, x1, x1 * x])
-    p_success = float(abs(succ) ** 2 /
-                      ((1 + abs(x1) ** 2) * (1 + abs(x) ** 2) * rest_norm))
-    zero_max = _validate_solution(psi12, x, y1, y, x1, rest_norm)
+    pair = MeasurementSettings.from_shared_params(2, x1, y1, x, y)
+    probs = np.abs(amplitude_table(psi12, pair.outcome_bras())[condition_cells(2)]) ** 2
+    p_success = float(probs[0] / rest_norm)
+    zero_max = float(probs[1:].max() / rest_norm)
     if zero_max >= 1e-10:
         raise NumericalFailure(f"assembled settings leave residual {zero_max:.3e}")
     if p_success <= 0.0:
@@ -221,25 +211,6 @@ def solve_settings(s: SymmetricState, x: complex,
     settings = MeasurementSettings.from_shared_params(s.n, x1, y1, x, y)
     return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1),
                              settings, p_success, excluded)
-
-
-def _validate_solution(psi12: np.ndarray, x, y1, y, x1, rest_norm: float) -> float:
-    """Largest of the three zero-condition probabilities on the reduced state."""
-
-    def prob_bra(u0, u1, v0, v1) -> float:
-        bra = np.array([np.conj(u0) * np.conj(v0), np.conj(u0) * np.conj(v1),
-                        np.conj(u1) * np.conj(v0), np.conj(u1) * np.conj(v1)])
-        val = abs(bra @ psi12) ** 2
-        nrm = (abs(u0) ** 2 + abs(u1) ** 2) * (abs(v0) ** 2 + abs(v1) ** 2) * rest_norm
-        return float(val / nrm)
-
-    b1 = (1.0, np.conj(y1))
-    b = (1.0, np.conj(y))
-    a1 = (1.0, np.conj(x1))
-    a = (1.0, np.conj(x))
-    b1o = (-y1, 1.0)
-    bo = (-y, 1.0)
-    return max(prob_bra(*b1, *a), prob_bra(*a1, *b), prob_bra(*b1o, *bo))
 
 
 def ghz_closed_form(n: int, theta: float, x: complex) -> float:

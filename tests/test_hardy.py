@@ -5,8 +5,9 @@ import pytest
 
 from nonloc import (DegenerateSettings, DensityMatrix, JointDistribution,
                     MeasurementSettings, Ray, SymmetricState, born_distribution,
-                    construct_hardy_state, dicke_expand, hardy_conditions,
-                    inequality1, inequality2, mixed_state_check)
+                    condition_cells, construct_hardy_state, dicke_expand,
+                    hardy_conditions, inequality1, inequality2,
+                    mixed_state_check)
 from conftest import random_settings
 
 GHZ3 = dicke_expand(SymmetricState.ghz(3, np.pi / 4))
@@ -53,6 +54,53 @@ def test_pivot_validation():
         hardy_conditions(d, pivot=0)
     with pytest.raises(ValueError):
         hardy_conditions(d, pivot=4)
+
+
+def test_inequality1_pivot_validation():
+    d = born_distribution(GHZ3, GHZ3_SETTINGS)
+    for pivot in (0, 4):
+        with pytest.raises(ValueError):
+            inequality1(d, pivot)
+
+
+def test_condition_cells_n3():
+    # party 1 in the most significant bit of the setting and outcome indices
+    assert list(zip(*condition_cells(3))) == [(0, 0), (4, 0), (2, 0), (1, 0),
+                                              (6, 6), (5, 5)]
+    assert list(zip(*condition_cells(3, 2)))[4:] == [(6, 6), (3, 3)]
+    assert list(zip(*condition_cells(3, 3)))[4:] == [(5, 5), (3, 3)]
+    assert list(zip(*condition_cells(3, standard=True)))[4:] == [(7, 7)]
+    with pytest.raises(ValueError):
+        condition_cells(3)[0][0] = 1
+
+
+def _swap_parties(d: JointDistribution, k: int) -> JointDistribution:
+    """The same table with parties 1 and k exchanged."""
+    n = d.n
+    t = d.p.reshape((2,) * (2 * n))
+    t = np.swapaxes(np.swapaxes(t, 0, k - 1), n, n + k - 1)
+    return JointDistribution(n, t.reshape(2 ** n, 2 ** n))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_pivot_k_matches_pivot_1_with_parties_swapped(n, rng):
+    for _ in range(5):
+        p = rng.random((2 ** n, 2 ** n))
+        d = JointDistribution(n, p / p.sum(axis=1, keepdims=True))
+        for k in range(1, n + 1):
+            swapped = _swap_parties(d, k)
+            image = [0] + list(range(1, n + 1))
+            image[1], image[k] = k, 1
+            ref = hardy_conditions(swapped)
+            first = ref.zero_residuals[:n]
+            pairs = dict(zip(range(2, n + 1), ref.zero_residuals[n:]))
+            # party j's cells under pivot k are party image[j]'s under pivot 1
+            expected = ([first[image[j] - 1] for j in range(1, n + 1)]
+                        + [pairs[image[j]] for j in range(1, n + 1) if j != k])
+            got = hardy_conditions(d, pivot=k)
+            assert got.p_success == ref.p_success
+            assert list(got.zero_residuals) == expected
+            assert abs(inequality1(d, k) - inequality1(swapped)) < 1e-14
 
 
 def test_inequality1_equals_success_on_passing_table():

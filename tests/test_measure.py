@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nonloc import (DensityMatrix, DimensionMismatch, JointDistribution,
-                    MeasurementSettings, PureState, Ray, SignalingDistribution,
-                    SymmetricState, born_distribution, dicke_expand, marginal,
+                    MeasurementSettings, PureState, Ray, SymmetricState,
+                    amplitude_table, born_distribution, dicke_expand,
                     ns_residual)
 from conftest import random_settings
 
@@ -89,16 +89,21 @@ def test_density_path_matches_pure_path(rng):
     assert np.allclose(dp.p, dr.p, atol=1e-12)
 
 
+def kron_bras(s, si):
+    """Rows r: the product bra of outcome r under joint setting si."""
+    w = np.ones((1, 1))
+    for k in range(1, s.n + 1):
+        ket0, ket1 = s.outcome_kets(k, (si >> (s.n - k)) & 1)
+        w = np.kron(w, np.stack([ket0, ket1]).conj())
+    return w
+
+
 def kron_reference(state, s):
     """p[s][r] from one explicit Kronecker product of bras per setting s."""
-    n = s.n
-    dim = 2 ** n
+    dim = 2 ** s.n
     p = np.empty((dim, dim))
     for si in range(dim):
-        w = np.ones((1, 1))
-        for k in range(1, n + 1):
-            ket0, ket1 = s.outcome_kets(k, (si >> (n - k)) & 1)
-            w = np.kron(w, np.stack([ket0, ket1]).conj())
+        w = kron_bras(s, si)
         if isinstance(state, PureState):
             p[si] = np.abs(w @ state.amplitudes) ** 2
         else:
@@ -112,6 +117,16 @@ def test_pure_born_table_matches_kron_reference(n, rng):
                     + 1j * rng.standard_normal(2 ** n))
     s = random_settings(n, rng)
     assert np.abs(born_distribution(psi, s).p - kron_reference(psi, s)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_amplitude_table_matches_kron_reference(n, rng):
+    # a raw, unnormalized amplitude vector: the table is linear in it
+    v = 3.0 * (rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n))
+    s = random_settings(n, rng)
+    table = amplitude_table(v, s.outcome_bras())
+    reference = np.array([kron_bras(s, si) @ v for si in range(2 ** n)])
+    assert np.abs(table - reference).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -161,27 +176,6 @@ def test_signaling_table_is_detected():
     p[0b11, 0b10] = 1.0
     d = JointDistribution(2, p)
     assert ns_residual(d) == 1.0
-    with pytest.raises(SignalingDistribution):
-        marginal(d, (1,), (0,), (0,))
-
-
-def test_marginal_factorizes_on_product_state(rng):
-    amps = np.kron(np.array([0.6, 0.8]), np.array([1.0, 1.0]) / np.sqrt(2))
-    d = born_distribution(PureState(2, amps), z_settings(2))
-    m1 = marginal(d, (1,), (0,), (0,))
-    m2 = marginal(d, (2,), (0,), (0,))
-    joint = marginal(d, (1, 2), (0, 0), (0, 0))
-    assert abs(m1 - 0.36) < 1e-12
-    assert abs(m2 - 0.5) < 1e-12
-    assert abs(joint - m1 * m2) < 1e-12
-
-
-def test_marginal_resolves_identity(rng):
-    d = born_distribution(PureState(3, rng.standard_normal(8)
-                                    + 1j * rng.standard_normal(8)),
-                          random_settings(3, rng))
-    total = sum(marginal(d, (2,), (1,), (r,)) for r in (0, 1))
-    assert abs(total - 1.0) < 1e-10
 
 
 def test_transformed_settings_track_rotated_state(rng):

@@ -1,13 +1,30 @@
 import numpy as np
 import pytest
 
-from nonloc import (MeasurementSettings, NoSettingsFound, PureState,
+from nonloc import (MeasurementSettings, NoSettingsFound, PureState, Ray,
                     SearchConfig, SymmetricState, born_distribution,
-                    dicke_expand, find_settings, hardy_conditions,
-                    random_experiment, solve_auto)
+                    condition_cells, dicke_expand, find_settings,
+                    hardy_conditions, random_experiment, solve_auto)
+from nonloc.search import _cell_amplitudes
 from conftest import random_symmetric
 
 CFG = SearchConfig()
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_cell_amplitudes_match_born_table(n, rng):
+    def unit():
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        return v / np.linalg.norm(v)
+
+    psi = PureState(n, rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n))
+    a = [unit() for _ in range(n)]
+    b = [unit() for _ in range(n)]
+    settings = MeasurementSettings(
+        n, tuple((Ray(*ak), Ray(*bk)) for ak, bk in zip(a, b)))
+    p = born_distribution(psi, settings).p[condition_cells(n)]
+    ov = _cell_amplitudes(psi.amplitudes, a, b)
+    assert np.abs(np.abs(ov) ** 2 - p).max() < 1e-14
 
 
 def test_find_settings_ghz():
