@@ -137,14 +137,15 @@ def summary_payload(s: ExperimentSummary) -> dict:
             "records": [{"index": r.index, "sub_seed": r.sub_seed,
                          "passed": r.passed, "p_success": r.p_success,
                          "max_residual": r.max_residual,
-                         "iterations": r.iterations,
+                         "starts": r.starts, "fevals": r.fevals,
                          "lp_checked": r.lp_checked,
                          "lp_infeasible": r.lp_infeasible}
                         for r in s.records]}
 
 
 EXPERIMENT_CSV_FIELDS = ("index", "sub_seed", "passed", "p_success",
-                         "max_residual", "lp_checked", "lp_infeasible")
+                         "max_residual", "starts", "fevals", "lp_checked",
+                         "lp_infeasible")
 
 
 def experiment_rows(s: ExperimentSummary) -> list[dict]:
@@ -152,6 +153,7 @@ def experiment_rows(s: ExperimentSummary) -> list[dict]:
              "passed": str(r.passed).lower(),
              "p_success": f"{r.p_success:.17g}",
              "max_residual": f"{r.max_residual:.17g}",
+             "starts": r.starts, "fevals": r.fevals,
              "lp_checked": str(r.lp_checked).lower(),
              "lp_infeasible": str(r.lp_infeasible).lower()}
             for r in s.records]

@@ -115,16 +115,17 @@ class JointDistribution:
 
 
 def _contract_parties(x: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-    """Apply ops[k] (4 x d) to party k + 1's axis of size d, one matrix
-    product per party; the result has axes (s1 r1 s2 r2 ... sn rn)."""
+    """Apply ops[k] (m x d) to party k + 1's axis of size d, one matrix
+    product per party; the result has one axis of size m per party."""
     for op in ops:
         x = x.reshape(op.shape[1], -1).T @ op.T
-    return x.reshape((2,) * (2 * len(ops)))
+    return x.reshape([op.shape[0] for op in ops])
 
 
 def _table(x: np.ndarray, n: int) -> np.ndarray:
-    """Reorder axes (s1 r1 ... sn rn) to a 2^n x 2^n table t[s][r], with
-    party 1 in the most significant bit of s and of r."""
+    """Reorder n axes of size 4, indexed 2 s_k + r_k, to a 2^n x 2^n table
+    t[s][r], with party 1 in the most significant bit of s and of r."""
+    x = x.reshape((2,) * (2 * n))
     x = x.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     return x.reshape(2 ** n, 2 ** n)
 

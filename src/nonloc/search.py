@@ -1,14 +1,13 @@
 """Derivative-free search for measurement settings passing the test on an
 arbitrary pure state, and batch experiments over Haar-random states.
 
-The search parameterizes each party's two rays by Bloch angles and minimizes
-a penalty objective (zero-condition weight minus mu times the success
-probability) by Nelder-Mead from random starts.  A candidate basin is then
-polished on the residual alone, with the b rays eliminated in closed form:
-for fixed a rays the k-th zero condition of the first group determines b_k
-uniquely as the ray orthogonal to the partial overlap of the state with the
-other parties' a rays, which drops those conditions to exactly zero and
-leaves only the n-1 pairwise conditions to drive down.
+The search parameterizes each party's a ray by Bloch angles and eliminates
+the b rays in closed form: for fixed a rays the k-th zero condition of the
+first group determines b_k uniquely as the ray orthogonal to the partial
+overlap of the state with the other parties' a rays, which drops those
+conditions to exactly zero.  Nelder-Mead then drives the n-1 pairwise
+conditions down over the 2n a-angles from random starts; a start whose
+success probability does not exceed delta_pos is discarded for the next.
 """
 
 from __future__ import annotations
@@ -20,9 +19,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .hardy import condition_cells, hardy_conditions
-from .measure import MeasurementSettings, Ray, amplitude_table, born_distribution
+from .measure import (MeasurementSettings, Ray, _contract_parties, amplitude_table,
+                      born_distribution)
 from .polytope import bilocal_ns_vertices, lp_membership
-from .qstate import PureState, genuine_entanglement_check, haar_random_pure
+from .qstate import (MAX_PARTIES, PureState, genuine_entanglement_check,
+                     haar_random_pure)
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class SearchConfig:
 
     multistarts: int = 32
     max_iters: int = 2000
-    mu: float = 0.1
     eps_zero: float = 1e-10
     delta_pos: float = 1e-4
     seed: int = 0
@@ -48,12 +48,16 @@ class NoSettingsFound:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One searched state: `starts` counts the starts tried, `fevals` the
+    objective evaluations over all of them."""
+
     index: int
     sub_seed: int
     passed: bool
     p_success: float
     max_residual: float
-    iterations: int
+    starts: int
+    fevals: int
     lp_checked: bool
     lp_infeasible: bool
 
@@ -83,29 +87,21 @@ def _cell_amplitudes(psi: np.ndarray, a, b) -> np.ndarray:
     return amplitude_table(psi, bras)[condition_cells(len(a))]
 
 
-def _angles_to_rays(params: np.ndarray, n: int):
-    a = [_ray_from_angles(params[4 * k], params[4 * k + 1]) for k in range(n)]
-    b = [_ray_from_angles(params[4 * k + 2], params[4 * k + 3]) for k in range(n)]
-    return a, b
-
-
-def _eliminate_b(psi_t: np.ndarray, a):
-    """Partial overlaps u_k = <a_(not k)|psi>; b_k orthogonal to u_k kills the
-    k-th zero condition exactly.  Returns None when some u_k degenerates."""
+def _eliminate_b(psi: np.ndarray, a):
+    """Normalized partial overlaps u_k = <a_(not k)|psi>; b_k orthogonal to
+    u_k kills the k-th zero condition exactly.  Each party is contracted once
+    with the 3 x 2 stack [<a_k|; <0|; <1|]; u_k is the slice of the 3^n
+    result at index 0 on every other party and 1..2 on party k.  Returns
+    None when some u_k degenerates."""
     n = len(a)
+    t = _contract_parties(psi, [np.vstack([ak.conj(), np.eye(2)]) for ak in a])
     us = []
     for k in range(n):
-        t = psi_t
-        ax = 0
-        for j in range(n):
-            if j == k:
-                ax = 1
-                continue
-            t = np.tensordot(a[j].conj(), t, axes=(0, ax))
-        norm = np.linalg.norm(t)
+        u = t[(0,) * k + (slice(1, 3),) + (0,) * (n - k - 1)]
+        norm = np.linalg.norm(u)
         if norm < 1e-150:
             return None
-        us.append(t / norm)
+        us.append(u / norm)
     return us
 
 
@@ -113,30 +109,26 @@ def find_settings(psi: PureState, cfg: SearchConfig):
     """Search for settings passing the test with pivot 1 on a pure state.
 
     Returns MeasurementSettings on success (re-verified through the full Born
-    table), otherwise a NoSettingsFound record.  An optional stats dict
-    collects the number of starts and function evaluations used.
+    table), otherwise a NoSettingsFound record.
     """
-    return _find_settings(psi, cfg, None)
+    return _find_settings(psi, cfg)[0]
 
 
-def _find_settings(psi: PureState, cfg: SearchConfig, stats: dict | None):
+def _find_settings(psi: PureState, cfg: SearchConfig):
+    """find_settings, also returning the starts tried and the objective
+    evaluations made."""
     n = psi.n
-    psi_t = psi.tensor()
     rng = np.random.default_rng(cfg.seed)
     fevals = 0
 
-    def penalty(params: np.ndarray) -> float:
-        nonlocal fevals
-        fevals += 1
-        a, b = _angles_to_rays(params, n)
-        ov = _cell_amplitudes(psi.amplitudes, a, b)
-        return float((np.abs(ov[1:]) ** 2).sum() - cfg.mu * abs(ov[0]) ** 2)
+    def rays(a_params: np.ndarray):
+        return [_ray_from_angles(a_params[2 * k], a_params[2 * k + 1]) for k in range(n)]
 
     def pair_objective(a_params: np.ndarray) -> float:
         nonlocal fevals
         fevals += 1
-        a = [_ray_from_angles(a_params[2 * k], a_params[2 * k + 1]) for k in range(n)]
-        us = _eliminate_b(psi_t, a)
+        a = rays(a_params)
+        us = _eliminate_b(psi.amplitudes, a)
         if us is None:
             return np.inf
         ov = _cell_amplitudes(psi.amplitudes, a, [_orth(u) for u in us])
@@ -144,14 +136,10 @@ def _find_settings(psi: PureState, cfg: SearchConfig, stats: dict | None):
 
     best_residual = np.inf
     best_success = 0.0
-    for start in range(cfg.multistarts):
-        x0 = np.empty(4 * n)
-        x0[0::2] = rng.uniform(0.0, math.pi, 2 * n)
-        x0[1::2] = rng.uniform(0.0, 2 * math.pi, 2 * n)
-        stage1 = minimize(penalty, x0, method="Nelder-Mead",
-                          options={"maxiter": cfg.max_iters, "xatol": 1e-7,
-                                   "fatol": 1e-12, "adaptive": True})
-        a_params = np.concatenate([stage1.x[4 * k:4 * k + 2] for k in range(n)])
+    for start in range(1, cfg.multistarts + 1):
+        a_params = np.empty(2 * n)
+        a_params[0::2] = rng.uniform(0.0, math.pi, n)
+        a_params[1::2] = rng.uniform(0.0, 2 * math.pi, n)
         value = pair_objective(a_params)
         for _ in range(3):
             if value < 0.01 * cfg.eps_zero:
@@ -163,8 +151,8 @@ def _find_settings(psi: PureState, cfg: SearchConfig, stats: dict | None):
                 break
             a_params, value = polish.x, polish.fun
 
-        a = [_ray_from_angles(a_params[2 * k], a_params[2 * k + 1]) for k in range(n)]
-        us = _eliminate_b(psi_t, a)
+        a = rays(a_params)
+        us = _eliminate_b(psi.amplitudes, a)
         if us is None:
             continue
         b = [_orth(u) for u in us]
@@ -179,14 +167,8 @@ def _find_settings(psi: PureState, cfg: SearchConfig, stats: dict | None):
             report = hardy_conditions(born_distribution(psi, settings), pivot=1,
                                       eps_zero=cfg.eps_zero, delta_pos=cfg.delta_pos)
             if report.passed:
-                if stats is not None:
-                    stats["starts"] = start + 1
-                    stats["fevals"] = fevals
-                return settings
-    if stats is not None:
-        stats["starts"] = cfg.multistarts
-        stats["fevals"] = fevals
-    return NoSettingsFound(best_residual, float(best_success))
+                return settings, start, fevals
+    return NoSettingsFound(best_residual, float(best_success)), cfg.multistarts, fevals
 
 
 def _sub_seed(*entropy: int) -> int:
@@ -202,13 +184,11 @@ def _run_state(args) -> ExperimentRecord:
         if genuine_entanglement_check(psi, 1e-4):
             break
         attempt += 1
-    stats: dict = {}
-    result = _find_settings(psi, replace(cfg, seed=_sub_seed(seed, index, 1 << 20)),
-                            stats)
+    result, starts, fevals = _find_settings(
+        psi, replace(cfg, seed=_sub_seed(seed, index, 1 << 20)))
     if isinstance(result, NoSettingsFound):
         return ExperimentRecord(index, state_seed, False, result.best_success,
-                                result.best_residual, stats.get("fevals", 0),
-                                False, False)
+                                result.best_residual, starts, fevals, False, False)
     d = born_distribution(psi, result)
     report = hardy_conditions(d, pivot=1, eps_zero=cfg.eps_zero,
                               delta_pos=cfg.delta_pos)
@@ -216,7 +196,7 @@ def _run_state(args) -> ExperimentRecord:
     if lp_check:
         lp_infeasible = not lp_membership(d, bilocal_ns_vertices()).feasible
     return ExperimentRecord(index, state_seed, report.passed, report.p_success,
-                            max(report.zero_residuals), stats.get("fevals", 0),
+                            max(report.zero_residuals), starts, fevals,
                             lp_check, lp_infeasible)
 
 
@@ -225,14 +205,17 @@ def random_experiment(n: int, count: int, seed: int, cfg: SearchConfig,
     """Run the search on `count` Haar-random genuinely entangled states.
 
     Each state draws its own RNG stream from (seed, index), so summaries are
-    reproducible and independent of `jobs`.  For n = 3 the first
-    `lp_subsample` states are additionally cross-checked by the bilocal LP.
+    reproducible and independent of `jobs`.  The first `lp_subsample` states
+    are additionally cross-checked by the bilocal LP, which exists for n = 3
+    only.
     """
-    if n not in (3, 4):
-        raise ValueError("experiment supports n = 3 or 4")
+    if not 3 <= n <= MAX_PARTIES:
+        raise ValueError(f"experiment supports n = 3..{MAX_PARTIES}, got {n}")
     if count < 1:
         raise ValueError("count must be at least 1")
-    tasks = [(n, seed, i, cfg, n == 3 and i < lp_subsample) for i in range(count)]
+    if lp_subsample > 0 and n != 3:
+        raise ValueError("the LP cross-check (lp_subsample) supports n = 3 only")
+    tasks = [(n, seed, i, cfg, i < lp_subsample) for i in range(count)]
     if jobs > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -173,6 +173,8 @@ def test_experiment_reruns_are_byte_identical(tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     summary = json.loads((tmp_path / "a.json").read_text())
     assert summary["passed"] == 3
+    header = (tmp_path / "a.csv").read_text().splitlines()[0].split(",")
+    assert "starts" in header and "fevals" in header
 
 
 def test_experiment_env_seed(tmp_path, capsys, monkeypatch):
@@ -186,7 +188,14 @@ def test_experiment_env_seed(tmp_path, capsys, monkeypatch):
 
 
 def test_experiment_invalid_n(capsys):
-    assert main(["experiment", "--n", "7", "--count", "1"]) == 2
+    assert main(["experiment", "--n", "2", "--count", "1"]) == 2
+    assert main(["experiment", "--n", "9", "--count", "1"]) == 2
+
+
+def test_experiment_lp_subsample_needs_three_parties(capsys):
+    assert main(["experiment", "--n", "4", "--count", "1",
+                 "--lp-subsample", "10"]) == 2
+    assert "n = 3 only" in capsys.readouterr().err
 
 
 def test_vertices_dump(tmp_path):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from nonloc import (MeasurementSettings, NoSettingsFound, PureState, Ray,
                     SearchConfig, SymmetricState, born_distribution,
                     condition_cells, dicke_expand, find_settings,
                     hardy_conditions, random_experiment, solve_auto)
-from nonloc.search import _cell_amplitudes
+from nonloc.search import _cell_amplitudes, _eliminate_b
 from conftest import random_symmetric
 
 CFG = SearchConfig()
@@ -25,6 +27,24 @@ def test_cell_amplitudes_match_born_table(n, rng):
     p = born_distribution(psi, settings).p[condition_cells(n)]
     ov = _cell_amplitudes(psi.amplitudes, a, b)
     assert np.abs(np.abs(ov) ** 2 - p).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_eliminate_b_matches_kronecker_reference(n, rng):
+    def unit(dim):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    for _ in range(5):
+        psi = unit(2 ** n)
+        a = [unit(2) for _ in range(n)]
+        us = _eliminate_b(psi, a)
+        for k in range(n):
+            # <a_(not k)| (x) I_k as a 2 x 2^n matrix
+            op = functools.reduce(np.kron, [np.eye(2) if j == k else a[j].conj()[None, :]
+                                            for j in range(n)])
+            u = op @ psi
+            assert np.abs(us[k] - u / np.linalg.norm(u)).max() < 1e-14
 
 
 def test_find_settings_ghz():
@@ -69,6 +89,13 @@ def test_experiment_records_and_counts():
     checked = [r for r in summary.records if r.lp_checked]
     assert len(checked) == 2
     assert all(r.lp_infeasible for r in checked)
+    assert all(1 <= r.starts <= CFG.multistarts and r.fevals > 0
+               for r in summary.records)
+
+
+def test_experiment_five_parties():
+    summary = random_experiment(5, 2, seed=3, cfg=CFG)
+    assert summary.passed == 2
 
 
 def test_experiment_is_deterministic_across_jobs():
@@ -85,6 +112,8 @@ def test_experiment_seed_changes_states():
 
 def test_experiment_validates_n():
     with pytest.raises(ValueError):
-        random_experiment(5, 1, seed=0, cfg=CFG)
+        random_experiment(2, 1, seed=0, cfg=CFG)
     with pytest.raises(ValueError):
         random_experiment(3, 0, seed=0, cfg=CFG)
+    with pytest.raises(ValueError):
+        random_experiment(4, 1, seed=0, cfg=CFG, lp_subsample=1)
