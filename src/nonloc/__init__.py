@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateSettings, DegenerateX, DimensionMismatch,
                      IdenticallyZeroF, IdenticallyZeroPolynomial, NonlocError,
-                     NonUniqueSolution, NotEntangled, NumericalFailure,
-                     OptimizerDidNotConverge, SignalingDistribution,
-                     SingularDenominator, VanishingSuccess)
+                     NotEntangled, NumericalFailure, OptimizerDidNotConverge,
+                     SignalingDistribution, SingularDenominator)
 from .hardy import (HardyReport, HardySubspace, condition_cells,
                     construct_hardy_state, hardy_conditions, inequality1,
                     inequality2, mixed_state_check)
@@ -38,8 +37,8 @@ from .symmetric import (CCoeffs, SymmetricSolution, c_coeffs,
 __all__ = [
     "__version__",
     "NonlocError", "DimensionMismatch", "SignalingDistribution",
-    "OptimizerDidNotConverge", "DegenerateSettings", "NonUniqueSolution",
-    "VanishingSuccess", "IdenticallyZeroPolynomial", "IdenticallyZeroF",
+    "OptimizerDidNotConverge", "DegenerateSettings",
+    "IdenticallyZeroPolynomial", "IdenticallyZeroF",
     "DegenerateX", "SingularDenominator", "NotEntangled", "NumericalFailure",
     "PureState", "DensityMatrix", "SymmetricState", "Bipartition",
     "dicke_expand", "closest_product_state", "to_magic_basis",

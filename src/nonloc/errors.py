@@ -18,15 +18,7 @@ class OptimizerDidNotConverge(NonlocError):
 
 
 class DegenerateSettings(NonlocError):
-    """Measurement rays are too close to linearly dependent to build the test subspace."""
-
-
-class NonUniqueSolution(NonlocError):
-    """The constraint system admits more than one orthogonal direction."""
-
-
-class VanishingSuccess(NonlocError):
-    """The constructed state is orthogonal to the success direction."""
+    """Measurement rays admit no unique passing state with nonzero success amplitude."""
 
 
 class IdenticallyZeroPolynomial(NonlocError):

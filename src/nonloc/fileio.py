@@ -121,7 +121,7 @@ def lp_outcome_payload(out: LPOutcome) -> dict:
             else [float(v) for v in out.weights],
             "certificate": None if out.certificate is None
             else [[float(v) for v in row] for row in out.certificate],
-            "margin": out.margin}
+            "margin": out.margin, "iterations": out.iterations}
 
 
 def vertex_set_payload(vs: ModelVertexSet) -> dict:

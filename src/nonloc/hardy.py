@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSettings, NonUniqueSolution, NumericalFailure,
-                     VanishingSuccess)
+from .errors import DegenerateSettings, NumericalFailure
 from .measure import JointDistribution, MeasurementSettings, born_distribution
 from .qstate import DensityMatrix, PureState, _frozen
 
@@ -125,12 +124,12 @@ def construct_hardy_state(settings: MeasurementSettings) -> HardySubspace:
     overlap = constraints.conj().T @ basis
     _, s, vh = np.linalg.svd(overlap)
     if (s < 1e-10).any():
-        raise NonUniqueSolution(
+        raise DegenerateSettings(
             "constraint overlap matrix is rank deficient; orthogonal direction not unique")
     z = vh[-1].conj()
     phi = PureState(settings.n, basis @ z)
     if abs(np.vdot(basis[:, 0], phi.amplitudes)) <= 1e-10:
-        raise VanishingSuccess("constructed state is orthogonal to the success vector")
+        raise DegenerateSettings("constructed state is orthogonal to the success vector")
     report = hardy_conditions(born_distribution(phi, settings), pivot=1,
                               eps_zero=1e-9, delta_pos=0.0)
     if not report.passed:

@@ -43,12 +43,14 @@ class ModelVertexSet:
 @dataclass(frozen=True, eq=False)
 class LPOutcome:
     """Result of a membership LP: weights when inside, a separating functional
-    (nonpositive on every column, positive on the tested table) when outside."""
+    (nonpositive on every column, positive on the tested table) when outside;
+    iterations is the simplex pivot count."""
 
     feasible: bool
     weights: np.ndarray | None
     certificate: np.ndarray | None
     margin: float
+    iterations: int
 
 
 def _single_party_deterministic() -> list[np.ndarray]:
@@ -180,7 +182,7 @@ def lp_membership(d: JointDistribution, vs: ModelVertexSet,
         err = np.abs(struct @ w - d.p.reshape(-1)).max()
         if err > 1e-9:
             raise NumericalFailure(f"feasible weights reproduce the table to {err:.3e} only")
-        return LPOutcome(True, _frozen(w), None, 0.0)
+        return LPOutcome(True, _frozen(w), None, 0.0, res.pivots)
     cert = res.y[:-1].reshape(d.p.shape) + res.y[-1] / 2 ** d.n
     scale = np.abs(cert).max()
     if scale <= 0.0:
@@ -194,7 +196,7 @@ def lp_membership(d: JointDistribution, vs: ModelVertexSet,
     margin = float((cert * d.p).sum())
     if col_vals.max() > 1e-12 or margin <= 0.0:
         raise NumericalFailure("Farkas certificate failed re-validation")
-    return LPOutcome(False, None, _frozen(cert), margin)
+    return LPOutcome(False, None, _frozen(cert), margin, res.pivots)
 
 
 def classify(d: JointDistribution) -> tuple[str, LPOutcome]:

@@ -7,11 +7,11 @@ significant bit of a basis index, so index(r_1..r_n) = sum_k r_k 2^(n-k).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import OptimizerDidNotConverge
 
@@ -177,45 +177,54 @@ def _sym_overlap(h: np.ndarray, n: int, c, sig):
     return out
 
 
-def _partial_overlap(h: np.ndarray, n: int, beta: np.ndarray) -> np.ndarray:
-    """Single-qubit vector t with t_j = <beta^(n-1) e_j|psi>."""
-    cb0, cb1 = np.conj(beta)
-    t0 = sum(h[k] * math.comb(n - 1, k) * cb0 ** (n - 1 - k) * cb1 ** k for k in range(n))
-    t1 = sum(h[k + 1] * math.comb(n - 1, k) * cb0 ** (n - 1 - k) * cb1 ** k for k in range(n))
-    return np.array([t0, t1])
+def _majorana_newton(coeffs: list[complex], w: complex):
+    """Newton's method from w on the stationarity condition of
+    |P(w)|^2 / (1 + |w|^2)^n, P(w) = sum_k coeffs[k] w^k, beta ~ (1, conj(w)):
 
+        G(w) = P'(w) (1 + |w|^2) - n conj(w) P(w) = 0.
 
-def _stationarity_residual(h: np.ndarray, n: int, beta: np.ndarray) -> float:
-    orth = np.array([-np.conj(beta[1]), np.conj(beta[0])])
-    return abs(np.vdot(orth, _partial_overlap(h, n, beta)))
-
-
-def _power_polish(h: np.ndarray, n: int, beta: np.ndarray, iters: int = 500):
-    """Refine a candidate closest product qubit by the symmetric power iteration."""
-    best = beta
-    best_res = _stationarity_residual(h, n, beta)
-    for _ in range(iters):
-        t = _partial_overlap(h, n, beta)
-        norm = np.linalg.norm(t)
-        if norm < 1e-300:
+    The real 2 x 2 Jacobian comes from dG/dw = P'' (1 + |w|^2) + (1 - n) conj(w) P'
+    and dG/dconj(w) = w P' - n P; each step solves it by least squares, so on a
+    ring of maxima (rank-1 Jacobian) it goes to the nearest ring point.
+    Returns (w, |<beta^n|psi>|, stationarity residual |G| / (n (1 + |w|^2)^(n/2))).
+    """
+    n = len(coeffs) - 1
+    step = math.inf
+    for _ in range(100):
+        p = dp = ddp = 0j
+        for a in reversed(coeffs):
+            ddp = ddp * w + dp
+            dp = dp * w + p
+            p = p * w + a
+        r2 = 1.0 + abs(w) ** 2
+        g = dp * r2 - n * w.conjugate() * p
+        if g == 0 or step <= 1e-13 * (1.0 + abs(w)) or not math.isfinite(r2):
             break
-        beta = t / norm
-        res = _stationarity_residual(h, n, beta)
-        if res < best_res:
-            best, best_res = beta, res
-        if res < 1e-14:
-            break
-    return best, best_res
+        d_w = 2 * ddp * r2 + (1 - n) * w.conjugate() * dp
+        d_wbar = w * dp - n * p
+        jac = np.array([[(d_w + d_wbar).real, (d_wbar - d_w).imag],
+                        [(d_w + d_wbar).imag, (d_w - d_wbar).real]])
+        dx, dy = np.linalg.lstsq(jac, [-g.real, -g.imag], rcond=1e-10)[0]
+        w += complex(dx, dy)
+        step = math.hypot(dx, dy)
+    return w, abs(p) / r2 ** (n / 2), abs(g) / (n * r2 ** (n / 2))
 
 
 def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int = 5):
     """Best product approximation (beta^n) of a symmetric state.
 
-    Returns (beta, overlap) with beta a unit single-qubit vector, phased so
-    that <beta^n|psi> = overlap is real positive.  The search is a coarse
-    Bloch-angle grid followed by local refinement of the leading cells and a
-    power-iteration polish; only symmetric product candidates are scanned,
-    which is where the optimum lies for symmetric states.
+    Returns (beta, overlap) with beta a unit single-qubit vector and
+    <beta^n|psi> = overlap real positive.  A Bloch-angle grid ranks the
+    starts; from each leading cell, Newton's method solves the stationarity of
+    the Majorana polynomial in w = conj(beta_1)/beta_0, or in c/sigma with h
+    reversed for cells nearer the south pole.  The largest overlap wins, the
+    earlier start on ties.  The optimum of a symmetric state is a symmetric
+    product, so only those are scanned.
+
+    Phase convention: beta_0 is made real and nonnegative, then beta is
+    multiplied by e^{i alpha}, alpha = angle(<beta^n|psi>) / n on the principal
+    branch.  On a ring of maxima (W and Dicke states) the first start is the
+    phi = 0 cell and the step is radial, so there beta comes out real.
     """
     h, n = s.h, s.n
     t = np.linspace(0.0, math.pi, grid)
@@ -225,32 +234,28 @@ def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int 
     # round before ranking so exact ties (balanced states) resolve to the
     # earliest grid cell instead of to float noise
     order = np.argsort(-np.round(vals, 12), axis=None, kind="stable")[:refine_starts]
-
-    def objective(ang):
-        c = math.cos(ang[0] / 2)
-        sg = math.sin(ang[0] / 2) * np.exp(-1j * ang[1])
-        return -abs(_sym_overlap(h, n, c, sg))
+    coeffs = [complex(h[k]) * math.comb(n, k) for k in range(n + 1)]
 
     best_beta = None
     best_val = -1.0
     best_res = np.inf
     for flat in order:
         i, j = np.unravel_index(flat, vals.shape)
-        res = minimize(objective, [t[i], phi[j]], method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-13})
-        ta, pa = res.x
-        beta = np.array([math.cos(ta / 2), math.sin(ta / 2) * np.exp(1j * pa)])
-        beta, stat = _power_polish(h, n, beta)
-        val = abs(_sym_overlap(h, n, *np.conj(beta)))
+        c, sig = math.cos(t[i] / 2), math.sin(t[i] / 2) * cmath.exp(-1j * phi[j])
+        if abs(sig) > c:
+            v, val, res = _majorana_newton(coeffs[::-1], c / sig)
+            beta = np.array([v.conjugate(), 1.0])
+        else:
+            w, val, res = _majorana_newton(coeffs, sig / c)
+            beta = np.array([1.0, w.conjugate()])
         if val > best_val + 1e-12:
-            best_beta, best_val, best_res = beta, val, stat
-    if best_beta is None or best_res > 1e-8:
+            best_beta, best_val, best_res = beta, val, res
+    if not best_res <= 1e-8:
         raise OptimizerDidNotConverge(
             f"closest product search stalled (stationarity residual {best_res:.3e})")
-    f = _sym_overlap(h, n, *np.conj(best_beta))
-    best_beta = best_beta * np.exp(1j * np.angle(f) / n)
-    overlap = abs(f)
-    return best_beta, float(overlap)
+    beta = best_beta / np.linalg.norm(best_beta) * np.exp(-1j * np.angle(best_beta[0]))
+    f = _sym_overlap(h, n, *np.conj(beta))
+    return beta * np.exp(1j * np.angle(f) / n), float(abs(f))
 
 
 def to_magic_basis(s: SymmetricState):
@@ -258,22 +263,22 @@ def to_magic_basis(s: SymmetricState):
 
     Returns (rotated SymmetricState, single-qubit unitary u) with the rotated
     coefficients satisfying h_0 = overlap > 0 and |h_1| <= 1e-8 (stationarity).
-    The same u acts on every party.
+    The same u acts on every party: h'_k C(n,k) is the coefficient of
+    s^(n-k) t^k in sum_j h_j C(n,j) (u00 s + u10 t)^(n-j) (u01 s + u11 t)^j.
     """
     beta, _ = closest_product_state(s)
     u = np.array([[np.conj(beta[0]), np.conj(beta[1])],
                   [-beta[1], beta[0]]])
-    t = dicke_expand(s).tensor()
-    for axis in range(s.n):
-        t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
-    flat = t.reshape(-1)
-    h = np.empty(s.n + 1, dtype=complex)
-    for k in range(s.n + 1):
-        idx = [b for b in range(2 ** s.n) if b.bit_count() == k]
-        h[k] = flat[idx].mean()
+    n = s.n
+    pow0, pow1 = [np.ones(1)], [np.ones(1)]
+    for _ in range(n):
+        pow0.append(np.convolve(pow0[-1], u[:, 0]))
+        pow1.append(np.convolve(pow1[-1], u[:, 1]))
+    binom = np.array([math.comb(n, k) for k in range(n + 1)])
+    h = sum(s.h[j] * binom[j] * np.convolve(pow0[n - j], pow1[j]) for j in range(n + 1)) / binom
     if abs(h[1]) > 1e-8:
         raise OptimizerDidNotConverge(f"rotated h_1 = {abs(h[1]):.3e} exceeds 1e-8")
-    return SymmetricState(s.n, h), u
+    return SymmetricState(n, h), u
 
 
 def haar_random_pure(n: int, seed: int) -> PureState:

@@ -124,6 +124,7 @@ def test_classify_uniform_table(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["label"] == "local"
     assert out["outcome"]["feasible"] is True
+    assert isinstance(out["outcome"]["iterations"], int)
 
 
 def test_classify_ghz_hardy(tmp_path, ghz_files, capsys):
@@ -134,6 +135,7 @@ def test_classify_ghz_hardy(tmp_path, ghz_files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["label"] == "genuinely-nonlocal"
     assert out["outcome"]["margin"] > 1e-6
+    assert out["outcome"]["iterations"] > 0
 
 
 def test_classify_rejects_two_parties(tmp_path, capsys):

@@ -6,7 +6,7 @@ from nonloc import (DimensionMismatch, JointDistribution, MeasurementSettings,
                     bilocal_ns_vertices, born_distribution, classify,
                     deterministic_local_vertices, dicke_expand, inequality1,
                     inequality2, lp_membership, ns_bipartite_vertices,
-                    ns_residual, solve_auto)
+                    ns_residual, solve_auto, solve_settings)
 
 
 def chsh(p: np.ndarray) -> float:
@@ -105,6 +105,17 @@ def test_ghz_hardy_is_genuinely_nonlocal(ghz3_solution):
     assert label == "genuinely-nonlocal"
     assert not outcome.feasible
     assert outcome.margin > 1e-6
+
+
+def test_lp_reports_simplex_pivots():
+    w = SymmetricState.w(3)
+    d = born_distribution(dicke_expand(w), solve_settings(w, 1.0).settings)
+    out = lp_membership(d, bilocal_ns_vertices())
+    assert not out.feasible
+    assert out.iterations > 0
+    label, outcome = classify(d)
+    assert label == "genuinely-nonlocal"
+    assert outcome.iterations == out.iterations
 
 
 def test_certificate_is_sound(ghz3_solution):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonloc import (Bipartition, DensityMatrix, OptimizerDidNotConverge,
                     PureState, SymmetricState, closest_product_state,
@@ -106,14 +108,39 @@ def test_closest_product_ghz_small_angle():
 
 
 def test_closest_product_ghz_large_angle():
-    _, overlap = closest_product_state(SymmetricState.ghz(3, np.pi / 3))
+    # the leading cells lie nearer the south pole, so the Newton chart is
+    # c / sigma, which reaches |1..1> exactly
+    beta, overlap = closest_product_state(SymmetricState.ghz(3, np.pi / 3))
     assert abs(overlap - np.sin(np.pi / 3)) < 1e-10
+    assert abs(abs(beta[1]) - 1.0) < 1e-12
+    assert beta[0] == 0
 
 
 def test_closest_product_w_state():
-    beta, overlap = closest_product_state(SymmetricState.w(3))
-    assert abs(overlap - 2 / 3) < 1e-10
-    assert abs(abs(beta[0]) ** 2 - 2 / 3) < 1e-6
+    # W's maxima form a ring |beta_0|^2 = (n-1)/n; the documented point on it
+    # is the real one with beta_1 > 0
+    for n in range(3, 9):
+        beta, overlap = closest_product_state(SymmetricState.w(n))
+        assert np.abs(beta.imag).max() <= 1e-15
+        assert abs(beta[0].real ** 2 - (n - 1) / n) < 1e-12
+        assert beta[0].real > 0 and beta[1].real > 0
+        assert abs(overlap - ((n - 1) / n) ** ((n - 1) / 2)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_closest_product_beats_fine_grid(n):
+    rng = np.random.default_rng(300 + n)
+    t = np.linspace(0.0, np.pi, 257)[:, None]
+    phi = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)[None, :]
+    cb0, cb1 = np.cos(t / 2), np.sin(t / 2) * np.exp(-1j * phi)
+    for _ in range(4):
+        s = random_symmetric(n, rng, entangled=False)
+        grid = sum(s.h[k] * math.comb(n, k) * cb0 ** (n - k) * cb1 ** k
+                   for k in range(n + 1))
+        beta, overlap = closest_product_state(s)
+        assert overlap >= np.abs(grid).max() - 1e-12
+        # beta_0 real and nonnegative before the phase e^{i alpha}, |alpha| <= pi/n
+        assert abs(np.angle(beta[0])) <= np.pi / n + 1e-12
 
 
 def test_closest_product_overlap_phased_real():
@@ -149,12 +176,36 @@ def test_magic_basis_rotation_consistency():
     # rotating the expanded state by u on every party must reproduce the
     # reported coefficients
     rng = np.random.default_rng(6)
-    s = random_symmetric(3, rng, entangled=False)
+    for n in range(3, 9):
+        s = random_symmetric(n, rng, entangled=False)
+        sm, u = to_magic_basis(s)
+        t = dicke_expand(s).tensor()
+        for axis in range(n):
+            t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
+        assert np.allclose(t.reshape(-1), dicke_expand(sm).amplitudes, atol=1e-10)
+
+
+@st.composite
+def dicke_coefficients(draw):
+    n = draw(st.integers(3, 8))
+    part = st.floats(-1.0, 1.0, allow_subnormal=False)
+    h = np.array([complex(draw(part), draw(part)) for _ in range(n + 1)])
+    return n, h
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(dicke_coefficients())
+def test_magic_basis_properties_hold_for_any_state(case):
+    n, h = case
+    assume(np.linalg.norm(h) >= 1e-3)
+    s = SymmetricState(n, h)
     sm, u = to_magic_basis(s)
-    t = dicke_expand(s).tensor()
-    for axis in range(3):
-        t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
-    assert np.allclose(t.reshape(-1), dicke_expand(sm).amplitudes, atol=1e-10)
+    _, overlap = closest_product_state(s)
+    assert abs(sm.h[1]) <= 1e-8
+    assert sm.h[0].real > 0
+    assert abs(sm.h[0].imag) <= 1e-12
+    assert abs(sm.h[0].real - overlap) <= 1e-12
+    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_haar_random_is_deterministic():
