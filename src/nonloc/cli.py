@@ -26,7 +26,8 @@ from .measure import JointDistribution, born_distribution
 from .polytope import bilocal_ns_vertices, classify, deterministic_local_vertices
 from .qstate import SymmetricState
 from .search import SearchConfig, random_experiment
-from .symmetric import phase_pick, solve_auto, solve_settings
+from .symmetric import (_solve_at, degenerate_x_roots, f_poly_roots, phase_pick,
+                        solve_auto, solve_settings)
 
 
 def _complex_flag(text: str) -> complex:
@@ -96,10 +97,14 @@ def _symmetric_input(args) -> SymmetricState:
 
 
 def _sweep_rows(s: SymmetricState, w: float) -> list[dict]:
+    try:
+        roots = degenerate_x_roots(s), f_poly_roots(s, w)
+    except IdenticallyZeroF:
+        return []
     rows = []
     for t in np.arange(0.05, 3.0, 0.025):
         try:
-            sol = solve_settings(s, t * cmath.exp(1j * w))
+            sol = _solve_at(s, t * cmath.exp(1j * w), *roots)
         except (DegenerateX, SingularDenominator):
             continue
         rows.append({"abs_x": f"{t:.17g}", "p_success": f"{sol.p_success:.17g}"})

@@ -68,17 +68,15 @@ class MeasurementSettings:
     def identical(cls, n: int, a: Ray, b: Ray) -> "MeasurementSettings":
         return cls(n, ((a, b),) * n)
 
-    def outcome_kets(self, k: int, setting_bit: int) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized projector rays for party k (1-based) under one setting."""
-        ray = self.pairs[k - 1][setting_bit]
-        return ray.ket(), ray.orthogonal().ket()
-
     def outcome_bras(self) -> list[np.ndarray]:
         """Each party's four outcome bras as one 4 x 2 array, row
-        2 * setting bit + outcome bit."""
-        return [np.stack([ket.conj() for sb in (0, 1)
-                          for ket in self.outcome_kets(k, sb)])
-                for k in range(1, self.n + 1)]
+        2 * setting bit + outcome bit: the conjugated unit ray (c0, c1)*, then
+        the bra (-c1, c0) of the orthogonal ray."""
+        v = np.array([[(ray.c0, ray.c1) for ray in pair] for pair in self.pairs])
+        # np.linalg.norm's dot products; its axis=-1 form rounds differently
+        v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+        orth = np.stack([-v[..., 1], v[..., 0]], axis=-1)
+        return list(np.stack([v.conj(), orth], axis=2).reshape(self.n, 4, 2))
 
     def transformed(self, u: np.ndarray) -> "MeasurementSettings":
         """Apply the same single-qubit matrix to every ray."""

@@ -8,6 +8,7 @@ significant bit of a basis index, so index(r_1..r_n) = sum_k r_k 2^(n-k).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,15 +167,44 @@ def dicke_expand(s: SymmetricState) -> PureState:
     return PureState(s.n, amps)
 
 
-def _sym_overlap(h: np.ndarray, n: int, c, sig):
-    """<beta^n|psi> for beta = (cos(t/2), e^{i phi} sin(t/2)); c, sig may be arrays.
+@functools.lru_cache(maxsize=4)
+def _bloch_grid(grid: int):
+    """Read-only t, phi and, on the grid x grid cells (t, phi),
+    c = cos(t/2) and sig = e^{-i phi} sin(t/2)."""
+    t = np.linspace(0.0, math.pi, grid)
+    phi = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    return t, phi, _frozen(np.cos(tt / 2)), _frozen(np.sin(tt / 2) * np.exp(-1j * pp))
 
-    c = cos(t/2) and sig = e^{-i phi} sin(t/2) are the conjugated components.
-    """
-    out = 0.0
-    for k in range(n + 1):
-        out = out + h[k] * math.comb(n, k) * c ** (n - k) * sig ** k
+
+def _overlap(coeffs: list[complex], c, sig):
+    """<beta^n|psi> = sum_k coeffs[k] c^(n-k) sig^k, coeffs[k] = h_k C(n, k), by
+    Horner's rule in c = conj(beta_0); c, sig = conj(beta_1) may be arrays."""
+    out, sig_k = coeffs[0], 1.0
+    for a in coeffs[1:]:
+        sig_k = sig_k * sig
+        out = out * c + a * sig_k
     return out
+
+
+def _newton_step(d_w: complex, d_wbar: complex, g: complex) -> complex:
+    """The step dx + i dy that np.linalg.lstsq(J, -(Re g, Im g), rcond=1e-10)
+    gives for the real 2 x 2 matrix J of delta -> d_w delta + d_wbar conj(delta),
+    whose singular values are |d_w| + |d_wbar| and ||d_w| - |d_wbar||.  While
+    sigma_2 > 1e-10 sigma_1, elimination on the larger pivot of J's first
+    column, one division per component on a diagonal J as in the SVD, so a step
+    onto a pole lands on it exactly; else the minimum-norm -J^T g / ||J||_F^2.
+    """
+    a, b = abs(d_w), abs(d_wbar)
+    if abs(a - b) <= 1e-10 * (a + b):
+        fro = 2 * (a * a + b * b)
+        return -(d_w.conjugate() * g + d_wbar * g.conjugate()) / fro if fro else 0j
+    rows = [((d_w + d_wbar).real, (d_wbar - d_w).imag, -g.real),
+            ((d_w + d_wbar).imag, (d_w - d_wbar).real, -g.imag)]
+    (j00, j01, r0), (j10, j11, r1) = sorted(rows, key=lambda row: -abs(row[0]))
+    m = j10 / j00
+    dy = (r1 - m * r0) / (j11 - m * j01)
+    return complex((r0 - j01 * dy) / j00, dy)
 
 
 def _majorana_newton(coeffs: list[complex], w: complex):
@@ -200,13 +230,9 @@ def _majorana_newton(coeffs: list[complex], w: complex):
         g = dp * r2 - n * w.conjugate() * p
         if g == 0 or step <= 1e-13 * (1.0 + abs(w)) or not math.isfinite(r2):
             break
-        d_w = 2 * ddp * r2 + (1 - n) * w.conjugate() * dp
-        d_wbar = w * dp - n * p
-        jac = np.array([[(d_w + d_wbar).real, (d_wbar - d_w).imag],
-                        [(d_w + d_wbar).imag, (d_w - d_wbar).real]])
-        dx, dy = np.linalg.lstsq(jac, [-g.real, -g.imag], rcond=1e-10)[0]
-        w += complex(dx, dy)
-        step = math.hypot(dx, dy)
+        delta = _newton_step(2 * ddp * r2 + (1 - n) * w.conjugate() * dp, w * dp - n * p, g)
+        w += delta
+        step = abs(delta)
     return w, abs(p) / r2 ** (n / 2), abs(g) / (n * r2 ** (n / 2))
 
 
@@ -226,21 +252,21 @@ def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int 
     branch.  On a ring of maxima (W and Dicke states) the first start is the
     phi = 0 cell and the step is radial, so there beta comes out real.
     """
-    h, n = s.h, s.n
-    t = np.linspace(0.0, math.pi, grid)
-    phi = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    vals = np.abs(_sym_overlap(h, n, np.cos(tt / 2), np.sin(tt / 2) * np.exp(-1j * pp)))
-    # round before ranking so exact ties (balanced states) resolve to the
-    # earliest grid cell instead of to float noise
-    order = np.argsort(-np.round(vals, 12), axis=None, kind="stable")[:refine_starts]
-    coeffs = [complex(h[k]) * math.comb(n, k) for k in range(n + 1)]
+    n = s.n
+    coeffs = [complex(s.h[k]) * math.comb(n, k) for k in range(n + 1)]
+    t, phi, cos_grid, sig_grid = _bloch_grid(grid)
+    # rounded so exact ties (balanced states) go to the earliest cell, not to
+    # float noise; a stable sort of the cells up to the k-th value leads as a full one
+    vals = -np.round(np.abs(_overlap(coeffs, cos_grid, sig_grid)), 12).ravel()
+    k = min(refine_starts, vals.size)
+    cells = np.flatnonzero(vals <= np.partition(vals, k - 1)[k - 1])
+    order = cells[np.argsort(vals[cells], kind="stable")][:k]
 
     best_beta = None
     best_val = -1.0
     best_res = np.inf
     for flat in order:
-        i, j = np.unravel_index(flat, vals.shape)
+        i, j = divmod(int(flat), grid)
         c, sig = math.cos(t[i] / 2), math.sin(t[i] / 2) * cmath.exp(-1j * phi[j])
         if abs(sig) > c:
             v, val, res = _majorana_newton(coeffs[::-1], c / sig)
@@ -254,7 +280,7 @@ def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int 
         raise OptimizerDidNotConverge(
             f"closest product search stalled (stationarity residual {best_res:.3e})")
     beta = best_beta / np.linalg.norm(best_beta) * np.exp(-1j * np.angle(best_beta[0]))
-    f = _sym_overlap(h, n, *np.conj(beta))
+    f = _overlap(coeffs, *np.conj(beta))
     return beta * np.exp(1j * np.angle(f) / n), float(abs(f))
 
 

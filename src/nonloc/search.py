@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .hardy import condition_cells, hardy_conditions
 from .measure import (MeasurementSettings, Ray, _contract_parties, amplitude_table,
@@ -70,6 +69,12 @@ class ExperimentSummary:
     passed: int
     failed: int
     records: tuple[ExperimentRecord, ...]
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: it is most of `import nonloc`."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _ray_from_angles(t: float, phi: float) -> np.ndarray:

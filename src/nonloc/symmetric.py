@@ -94,12 +94,12 @@ def degenerate_x_roots(s: SymmetricState) -> tuple[complex, ...]:
     if p.size == 1:
         return ()
     roots = _polished_roots(p)
-    for r in roots:
-        c = c_coeffs(s, r)
-        m = np.array([[c.c0, c.c1], [c.c1, c.c2]])
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[1] >= 1e-8 * max(1.0, sv[0]):
-            raise NumericalFailure(f"degeneracy root {r} fails the rank-1 check")
+    c0, c1, c2 = npoly.polyval(roots, np.stack([_c_poly(s, i) for i in range(3)], axis=1))
+    sv = np.linalg.svd(np.stack([c0, c1, c1, c2], axis=-1).reshape(-1, 2, 2),
+                       compute_uv=False)
+    bad = np.flatnonzero(sv[:, 1] >= 1e-8 * np.maximum(1.0, sv[:, 0]))
+    if bad.size:
+        raise NumericalFailure(f"degeneracy root {roots[bad[0]]} fails the rank-1 check")
     order = np.argsort(np.abs(roots), kind="stable")
     return tuple(complex(r) for r in roots[order])
 
@@ -128,21 +128,18 @@ def f_poly_roots(s: SymmetricState, w: float) -> tuple[float, ...]:
     f = _f_poly_coeffs(s, w)
     if np.abs(f).max() < 1e-12:
         raise IdenticallyZeroF(f"F vanishes identically at phase {w}")
-    candidates: list[float] = []
+    candidates = [np.zeros(0)]
     for part in (_trim(f.real.copy()), _trim(f.imag.copy())):
-        if part.size <= 1:
-            continue
-        for r in _polished_roots(part):
-            if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real >= -1e-10:
-                candidates.append(max(float(r.real), 0.0))
+        if part.size > 1:
+            r = _polished_roots(part)
+            keep = (np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real))) & (r.real >= -1e-10)
+            candidates.append(np.maximum(r.real[keep], 0.0))
+    t = np.sort(np.concatenate(candidates))
+    scale = np.abs(f) @ np.maximum(t, 1.0) ** np.arange(f.size)[:, None]
     roots: list[float] = []
-    for t in sorted(candidates):
-        scale = float(np.abs(f) @ np.maximum(t, 1.0) ** np.arange(f.size))
-        if abs(npoly.polyval(t, f)) > 1e-8 * scale:
-            continue
-        if roots and abs(t - roots[-1]) < 1e-8:
-            continue
-        roots.append(t)
+    for ti in t[np.abs(npoly.polyval(t, f)) <= 1e-8 * scale]:
+        if not roots or abs(ti - roots[-1]) >= 1e-8:
+            roots.append(float(ti))
     return tuple(roots)
 
 
@@ -157,39 +154,21 @@ def phase_pick(s: SymmetricState) -> float:
     return w % (2 * math.pi)
 
 
-def _guard_x(s: SymmetricState, x: complex, margin: float) -> tuple[float, ...]:
-    """Raise DegenerateX when x sits within margin of an excluded value;
-    returns the excluded moduli for the solution record."""
-    deg = degenerate_x_roots(s)
-    for r in deg:
-        if abs(x - r) < margin:
-            raise DegenerateX(f"x = {x} is within {margin} of degeneracy root {r}")
-    try:
-        fr = f_poly_roots(s, cmath.phase(x))
-    except IdenticallyZeroF as exc:
-        raise DegenerateX(
-            f"success probability vanishes identically along the phase of x = {x}"
-        ) from exc
-    for t in fr:
-        if abs(abs(x) - t) < margin:
-            raise DegenerateX(f"|x| = {abs(x)} is within {margin} of excluded modulus {t}")
-    return tuple(sorted({abs(r) for r in deg} | set(fr)))
-
-
 def _safe_div(num: complex, den: complex, what: str) -> complex:
     if abs(den) < 1e-12:
         raise SingularDenominator(f"denominator of {what} is {abs(den):.3e}")
     return num / den
 
 
-def solve_settings(s: SymmetricState, x: complex,
-                   margin: float = _EXCLUSION_MARGIN) -> SymmetricSolution:
-    """Solve the three zero conditions for the remaining parameters at a given x.
-
-    The assembled rays are |a_1> = |0> + x1*|1>, |b_1> = |0> + y1*|1>, and
-    |a_k> = |0> + x*|1>, |b_k> = |0> + y*|1> on every other party.
-    """
-    excluded = _guard_x(s, x, margin)
+def _solve_at(s: SymmetricState, x: complex, deg, fr,
+              margin: float = _EXCLUSION_MARGIN) -> SymmetricSolution:
+    """solve_settings at x, given the degeneracy and F roots along its phase."""
+    for r in deg:
+        if abs(x - r) < margin:
+            raise DegenerateX(f"x = {x} is within {margin} of degeneracy root {r}")
+    for t in fr:
+        if abs(abs(x) - t) < margin:
+            raise DegenerateX(f"|x| = {abs(x)} is within {margin} of excluded modulus {t}")
     c = c_coeffs(s, x)
     y1 = _safe_div(-(c.c0 + x * c.c1), c.c1 + x * c.c2, "y1")
     y = _safe_div(np.conj(c.c2) - y1 * np.conj(c.c1),
@@ -209,8 +188,25 @@ def solve_settings(s: SymmetricState, x: complex,
     if p_success <= 0.0:
         raise NumericalFailure("assembled settings give zero success probability")
     settings = MeasurementSettings.from_shared_params(s.n, x1, y1, x, y)
-    return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1),
-                             settings, p_success, excluded)
+    return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1), settings,
+                             p_success, tuple(sorted({abs(r) for r in deg} | set(fr))))
+
+
+def solve_settings(s: SymmetricState, x: complex,
+                   margin: float = _EXCLUSION_MARGIN) -> SymmetricSolution:
+    """Solve the three zero conditions for the remaining parameters at a given x.
+
+    The assembled rays are |a_1> = |0> + x1*|1>, |b_1> = |0> + y1*|1>, and
+    |a_k> = |0> + x*|1>, |b_k> = |0> + y*|1> on every other party.
+    """
+    deg = degenerate_x_roots(s)
+    try:
+        fr = f_poly_roots(s, cmath.phase(x))
+    except IdenticallyZeroF as exc:
+        raise DegenerateX(
+            f"success probability vanishes identically along the phase of x = {x}"
+        ) from exc
+    return _solve_at(s, x, deg, fr, margin)
 
 
 def ghz_closed_form(n: int, theta: float, x: complex) -> float:
@@ -271,9 +267,8 @@ def solve_auto(s: SymmetricState, entanglement_eps: float = 1e-8) -> SymmetricSo
     except IdenticallyZeroPolynomial as exc:
         raise NotEntangled("state is a symmetric product state") from exc
     fr = f_poly_roots(sm, w)
-    excluded = tuple(sorted({abs(r) for r in deg} | set(fr)))
-    t = _pick_modulus(excluded)
-    sol = solve_settings(sm, t * cmath.exp(1j * w))
+    t = _pick_modulus({abs(r) for r in deg} | set(fr))
+    sol = _solve_at(sm, t * cmath.exp(1j * w), deg, fr)
     settings = sol.settings.transformed(u.conj().T)
     report = hardy_conditions(born_distribution(dicke_expand(s), settings), pivot=1,
                               eps_zero=1e-8, delta_pos=1e-10)
@@ -282,4 +277,4 @@ def solve_auto(s: SymmetricState, entanglement_eps: float = 1e-8) -> SymmetricSo
             f"rotated-back settings fail verification "
             f"(p = {report.p_success:.3e}, max residual {max(report.zero_residuals):.3e})")
     return SymmetricSolution(sol.x, sol.y1, sol.y, sol.x1, settings,
-                             report.p_success, excluded)
+                             report.p_success, sol.excluded_x)

@@ -104,15 +104,22 @@ def test_symmetric_rejects_ambiguous_input(tmp_path, capsys):
 
 
 def test_symmetric_sweep(tmp_path, capsys):
-    csv_path = tmp_path / "sweep.csv"
-    assert main(["symmetric", "--ghz", "3", "0.7853981633974483",
-                 "--out", str(tmp_path / "sol.json"),
-                 "--sweep", str(csv_path)]) == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "abs_x,p_success"
-    assert len(lines) > 50
-    moduli = [float(row.split(",")[0]) for row in lines[1:]]
-    assert all(abs(t - 1.0) > 1e-3 for t in moduli)
+    # GHZ3(pi/4) skips |x| = 1, an F root on its phase pi / 2; W3 skips nothing
+    for state, rows, first_p in ((["--ghz", "3", "0.7853981633974483"], 117,
+                                  3.0939056658886835e-06),
+                                 (["--w", "3"], 118, 0.00079499428357253659)):
+        csv_path = tmp_path / "sweep.csv"
+        assert main(["symmetric", *state, "--out", str(tmp_path / "sol.json"),
+                     "--sweep", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "abs_x,p_success"
+        assert len(lines) == rows + 1
+        abs_x, p = lines[1].split(",")
+        assert abs_x == "0.050000000000000003"
+        assert abs(float(p) - first_p) <= 1e-13 * first_p
+        if state[0] == "--ghz":
+            moduli = [float(row.split(",")[0]) for row in lines[1:]]
+            assert all(abs(t - 1.0) > 1e-3 for t in moduli)
 
 
 def test_classify_uniform_table(tmp_path, capsys):

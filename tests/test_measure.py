@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,10 +92,13 @@ def test_density_path_matches_pure_path(rng):
 
 
 def kron_bras(s, si):
-    """Rows r: the product bra of outcome r under joint setting si."""
+    """Rows r: the product bra of outcome r under joint setting si, built from
+    each ray's c0, c1 and its orthogonal ray (-c1*, c0*)."""
     w = np.ones((1, 1))
     for k in range(1, s.n + 1):
-        ket0, ket1 = s.outcome_kets(k, (si >> (s.n - k)) & 1)
+        ray = s.pairs[k - 1][(si >> (s.n - k)) & 1]
+        ket0 = np.array([ray.c0, ray.c1]) / math.hypot(abs(ray.c0), abs(ray.c1))
+        ket1 = np.array([-ket0[1].conjugate(), ket0[0].conjugate()])
         w = np.kron(w, np.stack([ket0, ket1]).conj())
     return w
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from nonloc import (Bipartition, DensityMatrix, OptimizerDidNotConverge,
                     PureState, SymmetricState, closest_product_state,
                     dicke_expand, genuine_entanglement_check, haar_random_pure,
                     to_magic_basis)
+from nonloc import qstate
+from nonloc.qstate import _newton_step
 from conftest import random_symmetric
 
 
@@ -141,6 +144,61 @@ def test_closest_product_beats_fine_grid(n):
         assert overlap >= np.abs(grid).max() - 1e-12
         # beta_0 real and nonnegative before the phase e^{i alpha}, |alpha| <= pi/n
         assert abs(np.angle(beta[0])) <= np.pi / n + 1e-12
+
+
+def test_newton_step_matches_lstsq():
+    # full rank, sigma_2 / sigma_1 = 1e-3 and 1e-13 (either side of rcond),
+    # a zero first pivot, and exactly rank 1 (|d_w| = |d_wbar| bit for bit)
+    rng = np.random.default_rng(17)
+
+    def phase():
+        return cmath.exp(2j * np.pi * rng.random())
+
+    cases = []
+    for _ in range(300):
+        scale, g = 10.0 ** rng.uniform(-3, 3), complex(*rng.standard_normal(2))
+        for ratio in (rng.uniform(0.01, 1.0), 1e-3, 1e-13):
+            big, small = scale * (1 + ratio) / 2, scale * (1 - ratio) / 2
+            pair = (big, small) if rng.random() < 0.5 else (small, big)
+            cases.append((pair[0] * phase(), pair[1] * phase(), g))
+        d_w = scale * complex(*rng.standard_normal(2))
+        cases.append((d_w, complex(-d_w.real, scale * rng.standard_normal()), g))
+        cases += [(d_w, d_wbar, g) for d_wbar in (d_w, -d_w, 1j * d_w, d_w.conjugate())]
+    for d_w, d_wbar, g in cases:
+        jac = np.array([[(d_w + d_wbar).real, (d_wbar - d_w).imag],
+                        [(d_w + d_wbar).imag, (d_w - d_wbar).real]])
+        ref = complex(*np.linalg.lstsq(jac, [-g.real, -g.imag], rcond=1e-10)[0])
+        sigma_1 = abs(d_w) + abs(d_wbar)
+        assert abs(_newton_step(d_w, d_wbar, g) - ref) <= 1e-12 * max(abs(ref), abs(g) / sigma_1)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_grid_starts_match_full_sort(n, monkeypatch):
+    # reference: meshgrid, the power sum and a full stable argsort of the
+    # overlaps rounded to 12 digits; the starts are read off the Newton calls
+    t = np.linspace(0.0, np.pi, 64)
+    phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    cb0, cb1 = np.cos(tt / 2), np.sin(tt / 2) * np.exp(-1j * pp)
+    rng = np.random.default_rng(40 + n)
+    states = [random_symmetric(n, rng, entangled=False) for _ in range(4)]
+    states += [SymmetricState.ghz(n, theta) for theta in (0.3, np.pi / 4, 1.2)]
+    states += [SymmetricState.w(n)] + [SymmetricState(n, row) for row in np.eye(n + 1)]
+    starts = []
+    newton = qstate._majorana_newton
+    monkeypatch.setattr(qstate, "_majorana_newton",
+                        lambda coeffs, w: starts.append(w) or newton(coeffs, w))
+    for s in states:
+        vals = np.abs(sum(s.h[k] * math.comb(n, k) * cb0 ** (n - k) * cb1 ** k
+                          for k in range(n + 1)))
+        expected = []
+        for flat in np.argsort(-np.round(vals, 12), axis=None, kind="stable")[:5]:
+            i, j = np.unravel_index(flat, vals.shape)
+            c, sig = math.cos(t[i] / 2), math.sin(t[i] / 2) * cmath.exp(-1j * phi[j])
+            expected.append(c / sig if abs(sig) > c else sig / c)
+        starts.clear()
+        closest_product_state(s)
+        assert starts == expected
 
 
 def test_closest_product_overlap_phased_real():

@@ -1,8 +1,13 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nonloc
 from nonloc import (MeasurementSettings, NoSettingsFound, PureState, Ray,
                     SearchConfig, SymmetricState, born_distribution,
                     condition_cells, dicke_expand, find_settings,
@@ -117,3 +122,11 @@ def test_experiment_validates_n():
         random_experiment(3, 0, seed=0, cfg=CFG)
     with pytest.raises(ValueError):
         random_experiment(4, 1, seed=0, cfg=CFG, lp_subsample=1)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time, and only the search needs it
+    src = Path(nonloc.__file__).resolve().parents[1]
+    code = "import nonloc, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -8,7 +8,7 @@ from nonloc import (DegenerateX, IdenticallyZeroPolynomial, NotEntangled,
                     SymmetricState, born_distribution, c_coeffs,
                     degenerate_x_roots, dicke_expand, f_poly_roots,
                     ghz_closed_form, hardy_conditions, phase_pick, solve_auto,
-                    solve_settings, w_closed_form)
+                    solve_settings, to_magic_basis, w_closed_form)
 from conftest import random_symmetric
 
 GHZ34 = SymmetricState.ghz(3, np.pi / 4)
@@ -117,6 +117,36 @@ def test_excluded_moduli_recorded():
     sol = solve_settings(GHZ34, 2j)
     assert any(abs(t) < 1e-8 for t in sol.excluded_x)
     assert any(abs(t - 1.0) < 1e-8 for t in sol.excluded_x)
+
+
+def test_solve_auto_records_the_roots_at_its_phase(rng):
+    # excluded_x is the union of |degeneracy roots| and the F roots along the
+    # picked phase, in the magic basis where solve_auto solves
+    states = [random_symmetric(n, rng) for n in range(3, 9)]
+    states += [SymmetricState.w(5), SymmetricState.ghz(4, 0.6)]
+    for s in states:
+        sm, _ = to_magic_basis(s)
+        expected = {abs(r) for r in degenerate_x_roots(sm)} | set(f_poly_roots(sm, phase_pick(sm)))
+        assert solve_auto(s).excluded_x == tuple(sorted(expected))
+
+
+def test_solve_settings_raises_within_margin_of_each_root(rng):
+    # GHZ34 has the F root |x| = 1 along phase pi / 2; the others only |x| = 0
+    tried = 0
+    for sm in [GHZ34] + [to_magic_basis(random_symmetric(n, rng))[0] for n in (3, 4, 5, 6)]:
+        deg = degenerate_x_roots(sm)
+        for r in deg:
+            with pytest.raises(DegenerateX, match="degeneracy root"):
+                solve_settings(sm, r + 3e-7 * cmath.exp(1j * r.imag))
+            tried += 1
+        w = phase_pick(sm)
+        for t in f_poly_roots(sm, w):
+            x = (t + 3e-7) * cmath.exp(1j * w)
+            if all(abs(x - r) >= 1e-6 for r in deg):  # else that check fires first
+                with pytest.raises(DegenerateX, match="excluded modulus"):
+                    solve_settings(sm, x)
+                tried += 1
+    assert tried >= 25
 
 
 def test_ghz_closed_form_matches_solver_and_tensor():
