@@ -26,8 +26,7 @@ from .measure import JointDistribution, born_distribution
 from .polytope import bilocal_ns_vertices, classify, deterministic_local_vertices
 from .qstate import SymmetricState
 from .search import SearchConfig, random_experiment
-from .symmetric import (_solve_at, degenerate_x_roots, f_poly_roots, phase_pick,
-                        solve_auto, solve_settings)
+from .symmetric import phase_pick, solve_auto, solve_settings, sweep_settings
 
 
 def _complex_flag(text: str) -> complex:
@@ -96,21 +95,6 @@ def _symmetric_input(args) -> SymmetricState:
     return fileio.load_symmetric(args.state)
 
 
-def _sweep_rows(s: SymmetricState, w: float) -> list[dict]:
-    try:
-        roots = degenerate_x_roots(s), f_poly_roots(s, w)
-    except IdenticallyZeroF:
-        return []
-    rows = []
-    for t in np.arange(0.05, 3.0, 0.025):
-        try:
-            sol = _solve_at(s, t * cmath.exp(1j * w), *roots)
-        except (DegenerateX, SingularDenominator):
-            continue
-        rows.append({"abs_x": f"{t:.17g}", "p_success": f"{sol.p_success:.17g}"})
-    return rows
-
-
 def cmd_symmetric(args) -> int:
     s = _symmetric_input(args)
     params = {"state": args.state, "ghz": args.ghz, "w": args.w,
@@ -131,7 +115,8 @@ def cmd_symmetric(args) -> int:
     _emit(fileio.solution_payload(sol), args.out, manifest)
     if args.sweep is not None:
         w = cmath.phase(args.x) if args.x is not None else phase_pick(s)
-        rows = _sweep_rows(s, w)
+        rows = [{"abs_x": f"{t:.17g}", "p_success": f"{sol.p_success:.17g}"}
+                for t, sol in sweep_settings(s, w, np.arange(0.05, 3.0, 0.025))]
         fileio.write_csv(args.sweep, ("abs_x", "p_success"), rows,
                          fileio.make_manifest("symmetric-sweep",
                                               {**params, "phase": w}, None, inputs))

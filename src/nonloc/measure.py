@@ -73,8 +73,8 @@ class MeasurementSettings:
         2 * setting bit + outcome bit: the conjugated unit ray (c0, c1)*, then
         the bra (-c1, c0) of the orthogonal ray."""
         v = np.array([[(ray.c0, ray.c1) for ray in pair] for pair in self.pairs])
-        # np.linalg.norm's dot products; its axis=-1 form rounds differently
-        v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+        re, im = v.real[..., None, :], v.imag[..., None, :]  # row @ column: norm's np.dot
+        v = v / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
         orth = np.stack([-v[..., 1], v[..., 0]], axis=-1)
         return list(np.stack([v.conj(), orth], axis=2).reshape(self.n, 4, 2))
 

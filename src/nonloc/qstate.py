@@ -174,7 +174,7 @@ def _bloch_grid(grid: int):
     t = np.linspace(0.0, math.pi, grid)
     phi = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
     tt, pp = np.meshgrid(t, phi, indexing="ij")
-    return t, phi, _frozen(np.cos(tt / 2)), _frozen(np.sin(tt / 2) * np.exp(-1j * pp))
+    return tuple(map(_frozen, (t, phi, np.cos(tt / 2), np.sin(tt / 2) * np.exp(-1j * pp))))
 
 
 def _overlap(coeffs: list[complex], c, sig):

@@ -199,14 +199,30 @@ def solve_settings(s: SymmetricState, x: complex,
     The assembled rays are |a_1> = |0> + x1*|1>, |b_1> = |0> + y1*|1>, and
     |a_k> = |0> + x*|1>, |b_k> = |0> + y*|1> on every other party.
     """
-    deg = degenerate_x_roots(s)
+    return _solve_at(s, x, *_roots_along(s, cmath.phase(x)), margin)
+
+
+def _roots_along(s: SymmetricState, w: float):
+    """The degeneracy roots and the F roots along phase w."""
     try:
-        fr = f_poly_roots(s, cmath.phase(x))
+        return degenerate_x_roots(s), f_poly_roots(s, w)
     except IdenticallyZeroF as exc:
-        raise DegenerateX(
-            f"success probability vanishes identically along the phase of x = {x}"
-        ) from exc
-    return _solve_at(s, x, deg, fr, margin)
+        raise DegenerateX(f"success probability vanishes identically along phase {w}") from exc
+
+
+def sweep_settings(s: SymmetricState, w: float, moduli):
+    """(t, solve_settings(s, t e^{iw})) for each modulus t that the settings
+    exist at, with the roots along phase w computed once."""
+    try:
+        roots = _roots_along(s, w)
+    except DegenerateX:
+        return
+    for t in moduli:
+        try:
+            sol = _solve_at(s, t * cmath.exp(1j * w), *roots)
+        except (DegenerateX, SingularDenominator):
+            continue
+        yield t, sol
 
 
 def ghz_closed_form(n: int, theta: float, x: complex) -> float:

@@ -91,6 +91,18 @@ def test_density_path_matches_pure_path(rng):
     assert np.allclose(dp.p, dr.p, atol=1e-12)
 
 
+def test_outcome_bras_are_the_ray_kets_bit_for_bit(rng):
+    # the unit rays are normalized by np.linalg.norm's own dot products, so a
+    # solved table does not move in its last bits with how the norm is summed
+    for n in (2, 3, 8):
+        s = random_settings(n, rng)
+        for bras, pair in zip(s.outcome_bras(), s.pairs):
+            for bit, ray in enumerate(pair):
+                assert np.array_equal(bras[2 * bit], ray.ket().conj())
+                assert np.allclose(bras[2 * bit + 1], ray.orthogonal().ket().conj(),
+                                   rtol=0, atol=1e-15)
+
+
 def kron_bras(s, si):
     """Rows r: the product bra of outcome r under joint setting si, built from
     each ray's c0, c1 and its orthogonal ray (-c1*, c0*)."""

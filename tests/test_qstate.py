@@ -172,6 +172,11 @@ def test_newton_step_matches_lstsq():
         assert abs(_newton_step(d_w, d_wbar, g) - ref) <= 1e-12 * max(abs(ref), abs(g) / sigma_1)
 
 
+def test_cached_bloch_grid_is_read_only():
+    for arr in qstate._bloch_grid(64):
+        assert not arr.flags.writeable
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_grid_starts_match_full_sort(n, monkeypatch):
     # reference: meshgrid, the power sum and a full stable argsort of the

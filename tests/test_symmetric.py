@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from nonloc import (DegenerateX, IdenticallyZeroPolynomial, NotEntangled,
-                    SymmetricState, born_distribution, c_coeffs,
+                    SingularDenominator, SymmetricState, born_distribution, c_coeffs,
                     degenerate_x_roots, dicke_expand, f_poly_roots,
                     ghz_closed_form, hardy_conditions, phase_pick, solve_auto,
                     solve_settings, to_magic_basis, w_closed_form)
+from nonloc.symmetric import sweep_settings
 from conftest import random_symmetric
 
 GHZ34 = SymmetricState.ghz(3, np.pi / 4)
@@ -147,6 +148,31 @@ def test_solve_settings_raises_within_margin_of_each_root(rng):
                     solve_settings(sm, x)
                 tried += 1
     assert tried >= 25
+
+
+def test_sweep_settings_matches_solve_settings(rng):
+    # the sweep keeps exactly the moduli solve_settings solves at, with the
+    # same solutions; GHZ34 drops its F root |x| = 1 along phase pi / 2
+    moduli = np.arange(0.05, 3.0, 0.025)
+    for s in [GHZ34, SymmetricState.w(4), random_symmetric(5, rng)]:
+        w = phase_pick(s)
+        expected = []
+        for t in moduli:
+            try:
+                expected.append((t, solve_settings(s, t * cmath.exp(1j * w)).p_success))
+            except (DegenerateX, SingularDenominator):
+                pass
+        got = [(t, sol.p_success) for t, sol in sweep_settings(s, w, moduli)]
+        assert got == expected
+        assert len(got) < len(moduli) if s is GHZ34 else len(got) > 0
+
+
+def test_sweep_settings_is_empty_where_f_vanishes_identically():
+    # (|000> + |D_2>) / sqrt(2) has F = 0 along phase pi / 2: every x there fails
+    s = SymmetricState(3, np.array([1, 0, 1, 0]) / math.sqrt(2))
+    with pytest.raises(DegenerateX, match="vanishes identically"):
+        solve_settings(s, 1j)
+    assert list(sweep_settings(s, math.pi / 2, [0.5, 1.5])) == []
 
 
 def test_ghz_closed_form_matches_solver_and_tensor():
