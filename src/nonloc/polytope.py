@@ -103,22 +103,11 @@ def ns_bipartite_vertices() -> tuple[BoxVertex, ...]:
 
 def _glue(groups) -> np.ndarray:
     """Full joint table from conditional tables on disjoint scopes covering 1..n."""
-    parties = sorted(p for scope, _ in groups for p in scope)
-    n = len(parties)
-    full = np.ones((2 ** n, 2 ** n))
+    n = sum(len(scope) for scope, _ in groups)
+    args = []   # einsum axis q is party q's setting bit, n + q its outcome bit
     for scope, table in groups:
-        pos = [parties.index(p) for p in scope]
-        m = len(scope)
-        for s in range(2 ** n):
-            s_sub = 0
-            for j, q in enumerate(pos):
-                s_sub |= ((s >> (n - 1 - q)) & 1) << (m - 1 - j)
-            for r in range(2 ** n):
-                r_sub = 0
-                for j, q in enumerate(pos):
-                    r_sub |= ((r >> (n - 1 - q)) & 1) << (m - 1 - j)
-                full[s, r] *= table[s_sub, r_sub]
-    return full
+        args += [np.reshape(table, (2,) * (2 * len(scope))), [*scope, *(n + q for q in scope)]]
+    return np.einsum(*args, [*range(1, 2 * n + 1)]).reshape(2 ** n, 2 ** n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,30 +149,66 @@ def bilocal_ns_vertices() -> ModelVertexSet:
     return _bilocal_vertex_set()
 
 
+def _table_order(m: np.ndarray, n: int) -> np.ndarray:
+    """Reorder the last axis of m from one (s_k, r_k) digit pair per party,
+    party 1 first, to the (s_1..s_n, r_1..r_n) layout of a flattened table."""
+    lead = m.shape[:-1]
+    axes = [*range(len(lead)), *(len(lead) + np.r_[0:2 * n:2, 1:2 * n:2])]
+    return m.reshape(lead + (2,) * (2 * n)).transpose(axes).reshape(lead + (4 ** n,))
+
+
+@functools.lru_cache(maxsize=None)
+def _ns_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (3^n, 4^n) Collins-Gisin map C and the orthogonal projector onto
+    the non-signaling span, the span of the local vertices.  Per party, C has
+    the rows "any outcome at s = 0", "r = 0 at s = 0" and "r = 0 at s = 1" of
+    p[s][r], and the projector removes the signaling direction p(.|0) - p(.|1).
+    C is injective on the span; its all-"any" row is the normalization."""
+    block = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    sig = np.array([1.0, 1.0, -1.0, -1.0])
+    one = np.eye(4) - np.outer(sig, sig) / 4.0
+    c, proj = (functools.reduce(np.kron, [m] * n) for m in (block, one))
+    return _frozen(_table_order(c, n)), _frozen(_table_order(_table_order(proj, n).T, n))
+
+
+@functools.lru_cache(maxsize=8)
+def _cg_columns(vs: ModelVertexSet) -> np.ndarray:
+    """The model's columns in Collins-Gisin coordinates, one LP column each."""
+    return _frozen(_ns_maps(vs.n)[0] @ vs.columns.reshape(len(vs.columns), -1).T)
+
+
 def lp_membership(d: JointDistribution, vs: ModelVertexSet,
                   tol: float = 1e-9) -> LPOutcome:
-    """Decide membership of a table in the model polytope.
+    """Decide membership of a table in the model polytope, by an LP in
+    Collins-Gisin coordinates.
 
     Feasible outcomes carry weights reproducing the table to 1e-9; infeasible
-    outcomes carry a certificate table rescaled to unit max entry and
-    re-validated against every column.
+    ones a certificate table, rescaled to unit max entry and re-validated
+    against every column.  It is the table's part off the non-signaling span
+    when that has 1-norm above tol, else the Farkas vector lifted into the span.
     """
     if d.n != vs.n:
         raise DimensionMismatch(f"distribution has {d.n} parties, model {vs.n}")
     if ns_residual(d) > 1e-8:
         raise SignalingDistribution("membership tested on a signaling table")
-    dim = 4 ** d.n
-    struct = vs.columns.reshape(-1, dim).T
-    a = np.vstack([struct, np.ones((1, struct.shape[1]))])
-    b = np.concatenate([d.p.reshape(-1), [1.0]])
-    res = phase1_simplex(a, b, tol=tol)
+    (cg, proj), p = _ns_maps(d.n), d.p.reshape(-1)
+    off = p - proj @ p
+    if np.abs(off).sum() > tol:
+        # projected once more: rounding in proj @ p would swamp so small a part
+        return _certified(d, vs, off - proj @ off, 0)
+    res = phase1_simplex(_cg_columns(vs), cg @ p, tol=tol)
     if res.feasible:
         w = np.maximum(res.x, 0.0)
-        err = np.abs(struct @ w - d.p.reshape(-1)).max()
+        err = np.abs(vs.columns.reshape(len(w), -1).T @ w - p).max()
         if err > 1e-9:
             raise NumericalFailure(f"feasible weights reproduce the table to {err:.3e} only")
         return LPOutcome(True, _frozen(w), None, 0.0, res.pivots)
-    cert = res.y[:-1].reshape(d.p.shape) + res.y[-1] / 2 ** d.n
+    return _certified(d, vs, proj @ (cg.T @ res.y), res.pivots)
+
+
+def _certified(d: JointDistribution, vs: ModelVertexSet, cert, pivots: int) -> LPOutcome:
+    """The infeasible outcome for a separating table, re-validated."""
+    cert = cert.reshape(d.p.shape)
     scale = np.abs(cert).max()
     if scale <= 0.0:
         raise NumericalFailure("vanishing certificate from an infeasible LP")
@@ -196,7 +221,7 @@ def lp_membership(d: JointDistribution, vs: ModelVertexSet,
     margin = float((cert * d.p).sum())
     if col_vals.max() > 1e-12 or margin <= 0.0:
         raise NumericalFailure("Farkas certificate failed re-validation")
-    return LPOutcome(False, None, _frozen(cert), margin, res.pivots)
+    return LPOutcome(False, None, _frozen(cert), margin, pivots)
 
 
 def classify(d: JointDistribution) -> tuple[str, LPOutcome]:

@@ -1,9 +1,11 @@
 """Dense phase-1 simplex for small feasibility systems A x = b, x >= 0.
 
-The full tableau is kept in memory and updated by rank-1 pivots; Bland's
-smallest-index rule on both the entering and the leaving variable prevents
-cycling.  On infeasibility the dual vector at the phase-1 optimum is a Farkas
-certificate: y.A <= 0 on every column while y.b equals the positive optimum.
+The full tableau is updated in place by rank-1 pivots.  The entering column
+has the most negative reduced cost (Dantzig); after a streak of degenerate
+pivots it is the smallest eligible index (Bland) until a pivot makes progress,
+which prevents cycling.  The leaving row has the smallest ratio, ties to the
+smallest basis index.  On infeasibility the dual vector at the phase-1 optimum
+is a Farkas certificate: y.A <= 0 on every column while y.b is the optimum.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
+
+_DEGENERATE_STREAK = 50  # degenerate Dantzig pivots before Bland's rule takes over
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,26 +48,27 @@ def phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9,
     t[m, -1] = -b.sum()           # z-row stores the negated objective
     basis = np.arange(num, num + m)
 
-    pivots = 0
+    pivots = streak = 0
     while True:
-        entering = np.nonzero(t[m, :num + m] < -tol)[0]
-        if entering.size == 0:
+        costs = t[m, :num + m]
+        # Dantzig's most negative cost, or Bland's first negative one
+        j = int(costs.argmin() if streak < _DEGENERATE_STREAK else (costs < -tol).argmax())
+        if costs[j] >= -tol:
             break
         if pivots >= max_pivots:
             raise NumericalFailure(f"simplex exceeded {max_pivots} pivots")
-        j = entering[0]
         col = t[:m, j]
-        rows = np.nonzero(col > tol)[0]
+        rows = (col > tol).nonzero()[0]
         if rows.size == 0:
             raise NumericalFailure("phase-1 column unbounded; tableau inconsistent")
         ratios = t[rows, -1] / col[rows]
-        tied = rows[ratios <= ratios.min() + 1e-12]
-        i = tied[np.argmin(basis[tied])]
-        t[i] /= t[i, j]
-        others = np.arange(m + 1) != i
-        t[others] -= np.outer(t[others, j], t[i])
-        t[i, j] = 1.0
-        t[others, j] = 0.0
+        low = ratios.min()
+        tied = rows[ratios <= low + 1e-12]
+        i = tied[basis[tied].argmin()]
+        streak = streak + 1 if low <= 1e-12 else 0
+        row = t[i] / t[i, j]
+        t -= t[:, j, None] * row
+        t[i] = row
         basis[i] = j
         pivots += 1
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonloc import (DimensionMismatch, JointDistribution, MeasurementSettings,
                     PureState, Ray, SignalingDistribution, SymmetricState,
@@ -7,6 +11,8 @@ from nonloc import (DimensionMismatch, JointDistribution, MeasurementSettings,
                     deterministic_local_vertices, dicke_expand, inequality1,
                     inequality2, lp_membership, ns_bipartite_vertices,
                     ns_residual, solve_auto, solve_settings)
+from nonloc import polytope, simplex
+from conftest import random_settings
 
 
 def chsh(p: np.ndarray) -> float:
@@ -171,3 +177,191 @@ def test_membership_rejects_signaling_table():
     p[1, 1] = 1.0
     with pytest.raises(SignalingDistribution):
         lp_membership(JointDistribution(3, p), bilocal_ns_vertices())
+
+
+def _bits(x: int, n: int) -> list[int]:
+    """The n bits of a packed index, party 1 first."""
+    return [(x >> (n - 1 - k)) & 1 for k in range(n)]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_local_vertices_match_explicit_deltas(n):
+    vs = deterministic_local_vertices(n)
+    ref = np.zeros((4 ** n, 2 ** n, 2 ** n))
+    # column order: party 1's strategy slowest; strategy 2 * g0 + g1 is r = g_s
+    for c, combo in enumerate(itertools.product(range(4), repeat=n)):
+        for s in range(2 ** n):
+            for r in range(2 ** n):
+                ref[c, s, r] = all(r_k == (g >> (1 - s_k)) & 1 for g, s_k, r_k
+                                   in zip(combo, _bits(s, n), _bits(r, n)))
+    assert vs.columns.dtype == ref.dtype and np.array_equal(vs.columns, ref)
+    assert vs.bipartitions == (None,) * 4 ** n
+
+
+def test_bilocal_vertices_match_explicit_products():
+    vs = bilocal_ns_vertices()
+    boxes = ns_bipartite_vertices()
+    ref, tags = [], []
+    for lone in (1, 2, 3):
+        a, b = (q for q in (1, 2, 3) if q != lone)
+        for g, box in itertools.product(range(4), boxes):
+            col = np.zeros((8, 8))
+            for s, r in itertools.product(range(8), repeat=2):
+                sb, rb = _bits(s, 3), _bits(r, 3)
+                single = float(rb[lone - 1] == (g >> (1 - sb[lone - 1])) & 1)
+                pair = box.table[2 * sb[a - 1] + sb[b - 1], 2 * rb[a - 1] + rb[b - 1]]
+                col[s, r] = single * pair
+            ref.append(col)
+            tags.append((lone,))
+    assert np.array_equal(vs.columns, np.stack(ref))
+    assert vs.bipartitions == tuple(tags)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_collins_gisin_map_is_injective_on_the_local_span(n):
+    cg, proj = polytope._ns_maps(n)
+    local = deterministic_local_vertices(n).columns.reshape(4 ** n, -1).T
+    assert cg.shape == (3 ** n, 4 ** n)
+    assert np.linalg.matrix_rank(local) == 3 ** n
+    assert np.linalg.matrix_rank(cg @ local) == 3 ** n
+    assert np.abs(proj @ local - local).max() <= 1e-12
+    assert np.linalg.matrix_rank(proj) == 3 ** n
+
+
+def _hardy_table(s):
+    return born_distribution(dicke_expand(s), solve_auto(s).settings)
+
+
+def _off_local_span(cert: np.ndarray) -> float:
+    """Size of a table's component off the span of the local vertices,
+    by least squares on the vertices rather than the solver's projector."""
+    n = int(np.log2(cert.shape[0]))
+    local = deterministic_local_vertices(n).columns.reshape(4 ** n, -1).T
+    coef = np.linalg.lstsq(local, cert.reshape(-1), rcond=None)[0]
+    return float(np.abs(local @ coef - cert.reshape(-1)).max())
+
+
+def _assert_certifies(vs, d, out):
+    assert not out.feasible
+    col_vals = np.einsum("csr,sr->c", vs.columns, out.certificate)
+    assert col_vals.max() <= 1e-12
+    assert abs((out.certificate * d.p).sum() - out.margin) < 1e-12
+    assert out.margin > 0
+
+
+def test_hardy_certificates_lie_in_the_ns_span_with_parent_margins():
+    vs = bilocal_ns_vertices()
+    margins = []
+    for s in (SymmetricState.ghz(3, np.pi / 4), SymmetricState.w(3)):
+        d = _hardy_table(s)
+        out = lp_membership(d, vs)
+        _assert_certifies(vs, d, out)
+        assert _off_local_span(out.certificate) <= 1e-12
+        margins.append(out.margin)
+    assert margins[0] >= 3.36e-3 and margins[1] >= 6.21e-3
+
+
+@pytest.mark.parametrize("delta", (2e-9, 5e-9, 9e-9))
+def test_slightly_signaling_tables_are_certified_outside(delta, rng):
+    vs = bilocal_ns_vertices()
+    bases = [_hardy_table(SymmetricState.ghz(3, np.pi / 4)).p]
+    for _ in range(6):
+        bases.append(np.einsum("c,csr->sr", rng.dirichlet(np.ones(len(vs.columns))),
+                               vs.columns))
+    for base in bases:
+        p = base.copy()
+        s = rng.integers(8)
+        p[s, 0] -= delta          # party 1's outcome flips at one setting only:
+        p[s, 4] += delta          # the other parties' marginals then signal
+        d = JointDistribution(3, p)
+        assert 1e-9 < ns_residual(d) <= 1e-8
+        for model in (deterministic_local_vertices(3), vs):
+            _assert_certifies(model, d, lp_membership(d, model))
+
+
+def _criterion_6_mixtures(count: int):
+    vs = bilocal_ns_vertices()
+    rng = np.random.default_rng(606)
+    for i in range(count):
+        if i % 2 == 0:
+            w = rng.random(len(vs.columns))
+        else:
+            w = np.zeros(len(vs.columns))
+            chosen = rng.choice(len(vs.columns), size=rng.integers(1, 12),
+                                replace=False)
+            w[chosen] = rng.random(len(chosen))
+        w /= w.sum()
+        yield JointDistribution(3, np.einsum("c,csr->sr", w, vs.columns))
+
+
+def test_bland_rule_alone_keeps_every_verdict(monkeypatch):
+    vs = bilocal_ns_vertices()
+    hardy = [_hardy_table(s) for s in (SymmetricState.ghz(3, np.pi / 4),
+                                       SymmetricState.w(3))]
+    mixtures = list(_criterion_6_mixtures(100))
+    dantzig = [lp_membership(d, vs).iterations for d in hardy + mixtures]
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 0)
+    bland = []
+    for d in hardy:
+        out = lp_membership(d, vs)
+        _assert_certifies(vs, d, out)
+        bland.append(out.iterations)
+    for d in mixtures:
+        out = lp_membership(d, vs)
+        assert out.feasible
+        bland.append(out.iterations)
+    assert bland != dantzig    # the patched rule did take over
+
+
+def test_hardy_tables_at_four_parties_are_certified_nonlocal():
+    vs = deterministic_local_vertices(4)
+    assert len(vs.columns) == 256
+    for s in (SymmetricState.ghz(4, np.pi / 4), SymmetricState.w(4),
+              SymmetricState.ghz(4, 0.3)):
+        d = _hardy_table(s)
+        _assert_certifies(vs, d, lp_membership(d, vs))
+    w = np.random.default_rng(404).dirichlet(np.ones(len(vs.columns)))
+    d = JointDistribution(4, np.einsum("c,csr->sr", w, vs.columns))
+    out = lp_membership(d, vs)
+    assert out.feasible
+    recon = np.einsum("c,csr->sr", out.weights, vs.columns)
+    assert np.abs(recon - d.p).max() <= 1e-9
+
+
+def _highs_feasible(d: JointDistribution, vs) -> bool:
+    """Membership by HiGHS on the full system: every table entry plus the
+    normalization of the weights."""
+    from scipy.optimize import linprog
+    cols = vs.columns.reshape(len(vs.columns), -1).T
+    a_eq = np.vstack([cols, np.ones((1, cols.shape[1]))])
+    b_eq = np.concatenate([d.p.reshape(-1), [1.0]])
+    res = linprog(np.zeros(cols.shape[1]), A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_membership_agrees_with_highs_on_born_tables(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    d = born_distribution(PureState(3, v), random_settings(3, rng))
+    for vs in (deterministic_local_vertices(3), bilocal_ns_vertices()):
+        out = lp_membership(d, vs)
+        assert out.feasible == _highs_feasible(d, vs)
+        if not out.feasible:
+            _assert_certifies(vs, d, out)
+            assert _off_local_span(out.certificate) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+def test_membership_agrees_with_highs_on_bilocal_mixtures(seed, size):
+    rng = np.random.default_rng(seed)
+    vs = bilocal_ns_vertices()
+    chosen = rng.choice(len(vs.columns), size=size, replace=False)
+    p = np.einsum("c,csr->sr", rng.dirichlet(np.ones(size)), vs.columns[chosen])
+    d = JointDistribution(3, p)
+    for model in (deterministic_local_vertices(3), vs):
+        assert lp_membership(d, model).feasible == _highs_feasible(d, model)
