@@ -19,8 +19,7 @@ from .hardy import (HardyReport, HardySubspace, condition_cells,
                     inequality2, mixed_state_check)
 from .measure import (JointDistribution, MeasurementSettings, Ray,
                       amplitude_table, born_distribution, ns_residual)
-from .polytope import (BoxVertex, LPOutcome, ModelVertexSet,
-                       bilocal_ns_vertices, classify,
+from .polytope import (LPOutcome, ModelVertexSet, bilocal_ns_vertices, classify,
                        deterministic_local_vertices, lp_membership,
                        ns_bipartite_vertices)
 from .qstate import (Bipartition, DensityMatrix, PureState, SymmetricState,
@@ -50,7 +49,7 @@ __all__ = [
     "CCoeffs", "SymmetricSolution", "c_coeffs", "degenerate_x_roots",
     "f_poly_roots", "phase_pick", "solve_settings",
     "solve_auto", "ghz_closed_form", "w_closed_form",
-    "BoxVertex", "ModelVertexSet", "LPOutcome", "ns_bipartite_vertices",
+    "ModelVertexSet", "LPOutcome", "ns_bipartite_vertices",
     "deterministic_local_vertices", "bilocal_ns_vertices", "lp_membership",
     "classify",
     "SearchConfig", "NoSettingsFound", "ExperimentRecord", "ExperimentSummary",

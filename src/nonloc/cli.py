@@ -67,6 +67,8 @@ def cmd_hardy(args) -> int:
         d = fileio.load_distribution(args.distribution)
         inputs = {"distribution": args.distribution}
     else:
+        if args.state is None or args.settings is None:
+            raise ValueError("provide --distribution, or both --state and --settings")
         psi = fileio.load_state(args.state)
         settings = fileio.load_settings(args.settings)
         d = born_distribution(psi, settings)

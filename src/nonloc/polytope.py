@@ -22,15 +22,6 @@ from .simplex import phase1_simplex
 
 
 @dataclass(frozen=True, eq=False)
-class BoxVertex:
-    """An extreme conditional distribution over a subset of parties."""
-
-    scope: tuple[int, ...]
-    table: np.ndarray
-    kind: str
-
-
-@dataclass(frozen=True, eq=False)
 class ModelVertexSet:
     """All extreme columns of one model, tagged by bipartition where relevant."""
 
@@ -65,40 +56,33 @@ def _single_party_deterministic() -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_ns_boxes() -> tuple[BoxVertex, ...]:
-    """The 24 extreme non-signaling two-party boxes: 16 deterministic plus the
-    8 PR-box variants P(ab|xy) = 1/2 iff a + b = xy + alpha x + beta y + gamma
-    (mod 2).  Each is checked non-signaling exactly and extreme by LP."""
-    boxes: list[BoxVertex] = []
-    for alpha, beta, gamma, delta in itertools.product((0, 1), repeat=4):
-        table = np.zeros((4, 4))
+def ns_bipartite_vertices() -> np.ndarray:
+    """The 24 extreme points of the two-party two-setting NS polytope, as a
+    read-only (24, 4, 4) array of tables p[s][r]: the 16 deterministic boxes,
+    then the 8 PR-box variants P(ab|xy) = 1/2 iff a + b = xy + alpha x +
+    beta y + gamma (mod 2).  Each is checked non-signaling exactly and
+    extreme by LP."""
+    boxes = np.zeros((24, 4, 4))
+    for i, (alpha, beta, gamma, delta) in enumerate(itertools.product((0, 1), repeat=4)):
         for x, y in itertools.product((0, 1), repeat=2):
             a = (alpha * x) ^ beta
             b = (gamma * y) ^ delta
-            table[2 * x + y, 2 * a + b] = 1.0
-        boxes.append(BoxVertex((1, 2), _frozen(table), "deterministic"))
-    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
-        table = np.zeros((4, 4))
+            boxes[i, 2 * x + y, 2 * a + b] = 1.0
+    for i, (alpha, beta, gamma) in enumerate(itertools.product((0, 1), repeat=3), 16):
         for x, y, a, b in itertools.product((0, 1), repeat=4):
             if a ^ b == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma:
-                table[2 * x + y, 2 * a + b] = 0.5
-        boxes.append(BoxVertex((1, 2), _frozen(table), "pr-box-class"))
+                boxes[i, 2 * x + y, 2 * a + b] = 0.5
     for box in boxes:
-        if ns_residual(JointDistribution(2, box.table)) != 0.0:
+        if ns_residual(JointDistribution(2, box)) != 0.0:
             raise NumericalFailure("two-party vertex is signaling")
-    tables = np.stack([box.table.reshape(-1) for box in boxes])
-    for i in range(len(boxes)):
+    tables = boxes.reshape(24, -1)
+    for i in range(24):
         others = np.delete(tables, i, axis=0).T
-        a = np.vstack([others, np.ones((1, len(boxes) - 1))])
+        a = np.vstack([others, np.ones((1, 23))])
         b = np.concatenate([tables[i], [1.0]])
         if phase1_simplex(a, b).feasible:
             raise NumericalFailure(f"two-party box {i} is not extreme")
-    return tuple(boxes)
-
-
-def ns_bipartite_vertices() -> tuple[BoxVertex, ...]:
-    """The 24 extreme points of the two-party two-setting NS polytope."""
-    return _pair_ns_boxes()
+    return _frozen(boxes)
 
 
 def _glue(groups) -> np.ndarray:
@@ -131,14 +115,14 @@ def deterministic_local_vertices(n: int) -> ModelVertexSet:
 @functools.lru_cache(maxsize=None)
 def _bilocal_vertex_set() -> ModelVertexSet:
     singles = _single_party_deterministic()
-    pair_boxes = _pair_ns_boxes()
+    pair_boxes = ns_bipartite_vertices()
     cols = []
     tags = []
     for lone in (1, 2, 3):
         pair = tuple(p for p in (1, 2, 3) if p != lone)
         for single in singles:
             for box in pair_boxes:
-                cols.append(_glue([((lone,), single), (pair, box.table)]).reshape(-1))
+                cols.append(_glue([((lone,), single), (pair, box)]).reshape(-1))
                 tags.append((lone,))
     columns = _frozen(np.stack(cols).reshape(len(cols), 8, 8))
     return ModelVertexSet("bilocal-ns", 3, columns, tuple(tags))

@@ -247,10 +247,11 @@ def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int 
     earlier start on ties.  The optimum of a symmetric state is a symmetric
     product, so only those are scanned.
 
-    Phase convention: beta_0 is made real and nonnegative, then beta is
-    multiplied by e^{i alpha}, alpha = angle(<beta^n|psi>) / n on the principal
-    branch.  On a ring of maxima (W and Dicke states) the first start is the
-    phi = 0 cell and the step is radial, so there beta comes out real.
+    Phase convention: beta_0 is made real and nonnegative (beta = (0, 1) when
+    |beta_0| is at rounding level), then beta is multiplied by e^{i alpha},
+    alpha = angle(<beta^n|psi>) / n on the principal branch.  On a ring of
+    maxima (W and Dicke states) the first start is the phi = 0 cell and the
+    step is radial, so there beta comes out real.
     """
     n = s.n
     coeffs = [complex(s.h[k]) * math.comb(n, k) for k in range(n + 1)]
@@ -279,7 +280,12 @@ def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int 
     if not best_res <= 1e-8:
         raise OptimizerDidNotConverge(
             f"closest product search stalled (stationarity residual {best_res:.3e})")
-    beta = best_beta / np.linalg.norm(best_beta) * np.exp(-1j * np.angle(best_beta[0]))
+    beta = best_beta / np.linalg.norm(best_beta)
+    if abs(beta[0]) <= np.finfo(float).eps:
+        # Newton stopped a rounding error short of the south pole, where
+        # "beta_0 real" would leave the phase to that error: take the pole
+        beta = np.array([0.0, 1.0], dtype=complex)
+    beta = beta * np.exp(-1j * np.angle(beta[0]))
     f = _overlap(coeffs, *np.conj(beta))
     return beta * np.exp(1j * np.angle(f) / n), float(abs(f))
 

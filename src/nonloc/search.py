@@ -1,13 +1,14 @@
-"""Derivative-free search for measurement settings passing the test on an
+"""Least-squares search for measurement settings passing the test on an
 arbitrary pure state, and batch experiments over Haar-random states.
 
 The search parameterizes each party's a ray by Bloch angles and eliminates
 the b rays in closed form: for fixed a rays the k-th zero condition of the
 first group determines b_k uniquely as the ray orthogonal to the partial
 overlap of the state with the other parties' a rays, which drops those
-conditions to exactly zero.  Nelder-Mead then drives the n-1 pairwise
-conditions down over the 2n a-angles from random starts; a start whose
-success probability does not exceed delta_pos is discarded for the next.
+conditions to exactly zero.  From each random start one trust-region
+least-squares fit drives the real and imaginary parts of the n-1 pair
+amplitudes to zero over the 2n a-angles; a start whose success probability
+does not exceed delta_pos is discarded for the next.
 """
 
 from __future__ import annotations
@@ -17,23 +18,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hardy import condition_cells, hardy_conditions
-from .measure import (MeasurementSettings, Ray, _contract_parties, amplitude_table,
-                      born_distribution)
+from .hardy import hardy_conditions
+from .measure import MeasurementSettings, Ray, _contract_parties, born_distribution
 from .polytope import bilocal_ns_vertices, lp_membership
 from .qstate import (MAX_PARTIES, PureState, genuine_entanglement_check,
                      haar_random_pure)
 
+# ftol, xtol and gtol of every least-squares fit
+FIT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the multistart search; defaults are sized for n = 3 and 4."""
+    """Knobs of the multistart search; defaults are sized for n = 3 and 4.
+    max_iters caps each start's fit at that many residual evaluations, not
+    counting the finite-difference ones."""
 
     multistarts: int = 32
     max_iters: int = 2000
     eps_zero: float = 1e-10
     delta_pos: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.multistarts < 1 or self.max_iters < 1:
+            raise ValueError("multistarts and max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,7 @@ class NoSettingsFound:
 @dataclass(frozen=True)
 class ExperimentRecord:
     """One searched state: `starts` counts the starts tried, `fevals` the
-    objective evaluations over all of them."""
+    residual evaluations over all of them, finite-difference ones included."""
 
     index: int
     sub_seed: int
@@ -71,10 +80,10 @@ class ExperimentSummary:
     records: tuple[ExperimentRecord, ...]
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: it is most of `import nonloc`."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first use: it is most of `import nonloc`."""
+    from scipy.optimize import least_squares as scipy_least_squares
+    return scipy_least_squares(*args, **kwargs)
 
 
 def _ray_from_angles(t: float, phi: float) -> np.ndarray:
@@ -85,29 +94,32 @@ def _orth(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])])
 
 
-def _cell_amplitudes(psi: np.ndarray, a, b) -> np.ndarray:
-    """<cell ket|psi> at the test cells of pivot 1, for unit kets a_k, b_k
-    per party: the success amplitude, then the 2n - 1 zero-cell amplitudes."""
-    bras = [np.stack([ak, _orth(ak), bk, _orth(bk)]).conj() for ak, bk in zip(a, b)]
-    return amplitude_table(psi, bras)[condition_cells(len(a))]
+def _amplitudes(psi: np.ndarray, a):
+    """The test's amplitudes for unit a rays and b_k = orth(u_k), from one
+    contraction of each party with the 3 x 2 stack [<a_k|; <0|; <1|].
 
-
-def _eliminate_b(psi: np.ndarray, a):
-    """Normalized partial overlaps u_k = <a_(not k)|psi>; b_k orthogonal to
-    u_k kills the k-th zero condition exactly.  Each party is contracted once
-    with the 3 x 2 stack [<a_k|; <0|; <1|]; u_k is the slice of the 3^n
-    result at index 0 on every other party and 1..2 on party k.  Returns
-    None when some u_k degenerates."""
+    In the 3^n result T, u_k = <a_(not k)|psi> is the slice at 1..2 on party k
+    and 0 on every other party; b_k orthogonal to u_k kills the k-th
+    first-group cell exactly.  The outcome-1 bra of b_k is -conj(u_k), so the
+    pair cell of parties (1, k) is conj(u_1) M_k conj(u_k), M_k the slice at
+    1..2 on parties 1 and k and 0 elsewhere.  Returns the normalized u_k and
+    the 2n amplitudes in `condition_cells` order, or (None, None) when some
+    u_k degenerates.
+    """
     n = len(a)
     t = _contract_parties(psi, [np.vstack([ak.conj(), np.eye(2)]) for ak in a])
-    us = []
-    for k in range(n):
-        u = t[(0,) * k + (slice(1, 3),) + (0,) * (n - k - 1)]
-        norm = np.linalg.norm(u)
-        if norm < 1e-150:
-            return None
-        us.append(u / norm)
-    return us
+    zero, pair = (0,) * n, slice(1, 3)
+    raw = [t[zero[:k] + (pair,) + zero[k + 1:]] for k in range(n)]
+    norms = [np.linalg.norm(w) for w in raw]
+    if min(norms) < 1e-150:
+        return None, None
+    us = [w / norm for w, norm in zip(raw, norms)]
+    ov = np.empty(2 * n, dtype=complex)
+    ov[0] = t[zero]
+    ov[1:n + 1] = [u[0] * w[1] - u[1] * w[0] for u, w in zip(us, raw)]
+    ov[n + 1:] = [us[0].conj() @ t[(pair,) + zero[1:k] + (pair,) + zero[k + 1:]]
+                  @ us[k].conj() for k in range(1, n)]
+    return us, ov
 
 
 def find_settings(psi: PureState, cfg: SearchConfig):
@@ -120,8 +132,8 @@ def find_settings(psi: PureState, cfg: SearchConfig):
 
 
 def _find_settings(psi: PureState, cfg: SearchConfig):
-    """find_settings, also returning the starts tried and the objective
-    evaluations made."""
+    """find_settings, also returning the starts tried and the residual
+    evaluations made, finite-difference ones included."""
     n = psi.n
     rng = np.random.default_rng(cfg.seed)
     fevals = 0
@@ -129,15 +141,14 @@ def _find_settings(psi: PureState, cfg: SearchConfig):
     def rays(a_params: np.ndarray):
         return [_ray_from_angles(a_params[2 * k], a_params[2 * k + 1]) for k in range(n)]
 
-    def pair_objective(a_params: np.ndarray) -> float:
+    def residual(a_params: np.ndarray) -> np.ndarray:
         nonlocal fevals
         fevals += 1
-        a = rays(a_params)
-        us = _eliminate_b(psi.amplitudes, a)
+        us, ov = _amplitudes(psi.amplitudes, rays(a_params))
         if us is None:
-            return np.inf
-        ov = _cell_amplitudes(psi.amplitudes, a, [_orth(u) for u in us])
-        return float((np.abs(ov[n + 1:]) ** 2).sum())
+            # least_squares needs finite values; no pair amplitude exceeds 1
+            return np.ones(2 * (n - 1))
+        return np.concatenate((ov[n + 1:].real, ov[n + 1:].imag))
 
     best_residual = np.inf
     best_success = 0.0
@@ -145,30 +156,19 @@ def _find_settings(psi: PureState, cfg: SearchConfig):
         a_params = np.empty(2 * n)
         a_params[0::2] = rng.uniform(0.0, math.pi, n)
         a_params[1::2] = rng.uniform(0.0, 2 * math.pi, n)
-        value = pair_objective(a_params)
-        for _ in range(3):
-            if value < 0.01 * cfg.eps_zero:
-                break
-            polish = minimize(pair_objective, a_params, method="Nelder-Mead",
-                              options={"maxiter": cfg.max_iters, "xatol": 1e-10,
-                                       "fatol": 1e-16, "adaptive": True})
-            if polish.fun >= value:
-                break
-            a_params, value = polish.x, polish.fun
-
-        a = rays(a_params)
-        us = _eliminate_b(psi.amplitudes, a)
+        fit = least_squares(residual, a_params, method="trf", max_nfev=cfg.max_iters,
+                            ftol=FIT_TOL, xtol=FIT_TOL, gtol=FIT_TOL)
+        a = rays(fit.x)
+        us, ov = _amplitudes(psi.amplitudes, a)
         if us is None:
             continue
-        b = [_orth(u) for u in us]
-        ov = _cell_amplitudes(psi.amplitudes, a, b)
-        residual = float((np.abs(ov[1:]) ** 2).sum())
+        residual_weight = float((np.abs(ov[1:]) ** 2).sum())
         success = abs(ov[0]) ** 2
-        if residual < best_residual:
-            best_residual, best_success = residual, success
-        if residual < cfg.eps_zero and success > cfg.delta_pos:
+        if residual_weight < best_residual:
+            best_residual, best_success = residual_weight, success
+        if residual_weight < cfg.eps_zero and success > cfg.delta_pos:
             settings = MeasurementSettings(
-                n, tuple((Ray(*ak), Ray(*bk)) for ak, bk in zip(a, b)))
+                n, tuple((Ray(*ak), Ray(*_orth(u))) for ak, u in zip(a, us)))
             report = hardy_conditions(born_distribution(psi, settings), pivot=1,
                                       eps_zero=cfg.eps_zero, delta_pos=cfg.delta_pos)
             if report.passed:
@@ -216,8 +216,8 @@ def random_experiment(n: int, count: int, seed: int, cfg: SearchConfig,
     """
     if not 3 <= n <= MAX_PARTIES:
         raise ValueError(f"experiment supports n = 3..{MAX_PARTIES}, got {n}")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if count < 1 or jobs < 1:
+        raise ValueError("count and jobs must be at least 1")
     if lp_subsample > 0 and n != 3:
         raise ValueError("the LP cross-check (lp_subsample) supports n = 3 only")
     tasks = [(n, seed, i, cfg, i < lp_subsample) for i in range(count)]

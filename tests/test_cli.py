@@ -77,6 +77,13 @@ def test_hardy_from_distribution_file(tmp_path, ghz_files):
     assert main(["hardy", "--distribution", str(dist)]) == 0
 
 
+def test_hardy_without_a_complete_input_is_a_usage_error(ghz_files, capsys):
+    state, settings = ghz_files
+    for args in (["--state", str(state)], ["--settings", str(settings)], []):
+        assert main(["hardy", *args]) == 2
+        assert "--distribution" in capsys.readouterr().err
+
+
 def test_symmetric_ghz_fixture(capsys):
     assert main(["symmetric", "--ghz", "3", "0.7853981633974483",
                  "--x", "0,2"]) == 0
@@ -205,6 +212,16 @@ def test_experiment_lp_subsample_needs_three_parties(capsys):
     assert main(["experiment", "--n", "4", "--count", "1",
                  "--lp-subsample", "10"]) == 2
     assert "n = 3 only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", (["--multistarts", "0"], ["--max-iters", "0"],
+                                   ["--jobs", "0"], ["--jobs", "-2"]))
+def test_experiment_rejects_invalid_search_settings(tmp_path, capsys, flags):
+    args = ["experiment", "--n", "3", "--count", "1", *flags]
+    assert main(args) == 2
+    assert main(args + ["--out", str(tmp_path / "x")]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_vertices_dump(tmp_path):

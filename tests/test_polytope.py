@@ -38,20 +38,18 @@ def test_vertex_counts():
 
 def test_pair_boxes_are_non_signaling_and_normalized():
     for box in ns_bipartite_vertices():
-        d = JointDistribution(2, box.table)
+        d = JointDistribution(2, box)
         assert ns_residual(d) == 0.0
 
 
 def test_pr_boxes_reach_chsh_four():
-    values = [chsh(box.table) for box in ns_bipartite_vertices()
-              if box.kind == "pr-box-class"]
+    values = [chsh(box) for box in ns_bipartite_vertices()[16:]]
     assert len(values) == 8
     assert all(abs(v - 4.0) < 1e-12 for v in values)
 
 
 def test_deterministic_boxes_stay_at_chsh_two():
-    values = [chsh(box.table) for box in ns_bipartite_vertices()
-              if box.kind == "deterministic"]
+    values = [chsh(box) for box in ns_bipartite_vertices()[:16]]
     assert len(values) == 16
     assert all(v <= 2.0 + 1e-12 for v in values)
 
@@ -209,7 +207,7 @@ def test_bilocal_vertices_match_explicit_products():
             for s, r in itertools.product(range(8), repeat=2):
                 sb, rb = _bits(s, 3), _bits(r, 3)
                 single = float(rb[lone - 1] == (g >> (1 - sb[lone - 1])) & 1)
-                pair = box.table[2 * sb[a - 1] + sb[b - 1], 2 * rb[a - 1] + rb[b - 1]]
+                pair = box[2 * sb[a - 1] + sb[b - 1], 2 * rb[a - 1] + rb[b - 1]]
                 col[s, r] = single * pair
             ref.append(col)
             tags.append((lone,))

@@ -12,38 +12,37 @@ from nonloc import (MeasurementSettings, NoSettingsFound, PureState, Ray,
                     SearchConfig, SymmetricState, born_distribution,
                     condition_cells, dicke_expand, find_settings,
                     hardy_conditions, random_experiment, solve_auto)
-from nonloc.search import _cell_amplitudes, _eliminate_b
+from nonloc import search
+from nonloc.search import _amplitudes, _find_settings, _orth
 from conftest import random_symmetric
 
 CFG = SearchConfig()
 
 
-@pytest.mark.parametrize("n", (3, 4, 5))
-def test_cell_amplitudes_match_born_table(n, rng):
-    def unit():
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        return v / np.linalg.norm(v)
+def _unit(rng, dim):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
-    psi = PureState(n, rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n))
-    a = [unit() for _ in range(n)]
-    b = [unit() for _ in range(n)]
-    settings = MeasurementSettings(
-        n, tuple((Ray(*ak), Ray(*bk)) for ak, bk in zip(a, b)))
-    p = born_distribution(psi, settings).p[condition_cells(n)]
-    ov = _cell_amplitudes(psi.amplitudes, a, b)
-    assert np.abs(np.abs(ov) ** 2 - p).max() < 1e-14
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_cell_amplitudes_match_born_table(n, rng):
+    # b_k = orth(u_k), as the search sets them
+    for _ in range(5):
+        psi = PureState(n, _unit(rng, 2 ** n))
+        a = [_unit(rng, 2) for _ in range(n)]
+        us, ov = _amplitudes(psi.amplitudes, a)
+        settings = MeasurementSettings(
+            n, tuple((Ray(*ak), Ray(*_orth(u))) for ak, u in zip(a, us)))
+        p = born_distribution(psi, settings).p[condition_cells(n)]
+        assert np.abs(np.abs(ov) ** 2 - p).max() < 1e-14
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_eliminate_b_matches_kronecker_reference(n, rng):
-    def unit(dim):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return v / np.linalg.norm(v)
-
     for _ in range(5):
-        psi = unit(2 ** n)
-        a = [unit(2) for _ in range(n)]
-        us = _eliminate_b(psi, a)
+        psi = _unit(rng, 2 ** n)
+        a = [_unit(rng, 2) for _ in range(n)]
+        us, _ = _amplitudes(psi, a)
         for k in range(n):
             # <a_(not k)| (x) I_k as a 2 x 2^n matrix
             op = functools.reduce(np.kron, [np.eye(2) if j == k else a[j].conj()[None, :]
@@ -59,6 +58,35 @@ def test_find_settings_ghz():
     report = hardy_conditions(born_distribution(psi, settings),
                               eps_zero=CFG.eps_zero, delta_pos=CFG.delta_pos)
     assert report.passed
+
+
+def test_ghz_pole_basin_passes_on_the_first_start():
+    # a fit that settles in a zero-success basin at the poles wastes a start
+    psi = dicke_expand(SymmetricState.ghz(3, np.pi / 3))
+    result, starts, fevals = _find_settings(psi, SearchConfig(seed=0))
+    assert isinstance(result, MeasurementSettings)
+    assert starts == 1 and fevals > 0
+
+
+def test_find_settings_calls_the_module_least_squares(monkeypatch):
+    # perfbench wraps nonloc.search.least_squares by that name
+    original, calls = search.least_squares, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["max_nfev"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, "least_squares", counted)
+    psi = dicke_expand(SymmetricState.ghz(3, np.pi / 4))
+    assert isinstance(find_settings(psi, CFG), MeasurementSettings)
+    assert calls and all(m == CFG.max_iters for m in calls)
+
+
+def test_search_config_rejects_empty_searches():
+    with pytest.raises(ValueError):
+        SearchConfig(multistarts=0)
+    with pytest.raises(ValueError):
+        SearchConfig(max_iters=0)
 
 
 def test_find_settings_product_state():
@@ -122,6 +150,9 @@ def test_experiment_validates_n():
         random_experiment(3, 0, seed=0, cfg=CFG)
     with pytest.raises(ValueError):
         random_experiment(4, 1, seed=0, cfg=CFG, lp_subsample=1)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError):
+            random_experiment(3, 1, seed=0, cfg=CFG, jobs=jobs)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -6,7 +6,7 @@ import pytest
 
 from nonloc import (DegenerateX, IdenticallyZeroPolynomial, NotEntangled,
                     SingularDenominator, SymmetricState, born_distribution, c_coeffs,
-                    degenerate_x_roots, dicke_expand, f_poly_roots,
+                    closest_product_state, degenerate_x_roots, dicke_expand, f_poly_roots,
                     ghz_closed_form, hardy_conditions, phase_pick, solve_auto,
                     solve_settings, to_magic_basis, w_closed_form)
 from nonloc.symmetric import sweep_settings
@@ -129,6 +129,18 @@ def test_solve_auto_records_the_roots_at_its_phase(rng):
         sm, _ = to_magic_basis(s)
         expected = {abs(r) for r in degenerate_x_roots(sm)} | set(f_poly_roots(sm, phase_pick(sm)))
         assert solve_auto(s).excluded_x == tuple(sorted(expected))
+
+
+def test_ghz_south_pole_leaves_no_noise_roots():
+    # past theta = pi / 4 the closest product state is the pole |1..1>; a
+    # Newton stop a rounding error short of it must not let that error pick
+    # the phase, whose rotated state would put noise roots in excluded_x
+    for n in range(3, 9):
+        for theta in np.linspace(0.8, 1.55, 16):
+            s = SymmetricState.ghz(n, theta)
+            beta, _ = closest_product_state(s)
+            assert beta[0] == 0, (n, theta)
+            assert not any(0 < t < 1e-12 for t in solve_auto(s).excluded_x), (n, theta)
 
 
 def test_solve_settings_raises_within_margin_of_each_root(rng):
