@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -32,10 +33,24 @@ from .symmetric import phase_pick, solve_auto, solve_settings, sweep_settings
 def _complex_flag(text: str) -> complex:
     try:
         re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        value = complex(float(re_part), float(im_part))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a complex number as re,im — got {text!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected finite parts — got {text!r}")
+    return value
+
+
+def _tolerance_flag(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative tolerance — got {text!r}")
+    return value
 
 
 def _seed(args) -> int:
@@ -91,6 +106,8 @@ def _symmetric_input(args) -> SymmetricState:
         raise ValueError("provide exactly one of a state file, --ghz, or --w")
     if args.ghz is not None:
         n, theta = args.ghz
+        if not n.is_integer():
+            raise ValueError(f"--ghz needs a whole number of parties, got {n}")
         return SymmetricState.ghz(int(n), theta)
     if args.w is not None:
         return SymmetricState.w(args.w)
@@ -257,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-appendix",
                        help="check both inequalities on every bilocal-NS vertex")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance_flag, default=1e-12)
     p.set_defaults(func=cmd_verify_appendix)
     return parser
 

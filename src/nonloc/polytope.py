@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SignalingDistribution
 from .measure import JointDistribution, ns_residual
 from .qstate import _frozen
-from .simplex import phase1_simplex
+from .simplex import Phase1Result, phase1_simplex
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,13 +35,15 @@ class ModelVertexSet:
 class LPOutcome:
     """Result of a membership LP: weights when inside, a separating functional
     (nonpositive on every column, positive on the tested table) when outside;
-    iterations is the simplex pivot count."""
+    iterations is the simplex pivot count, and lp the final simplex state that
+    a solve over more columns resumes."""
 
     feasible: bool
     weights: np.ndarray | None
     certificate: np.ndarray | None
     margin: float
     iterations: int
+    lp: Phase1Result | None = field(default=None, repr=False)
 
 
 def _single_party_deterministic() -> list[np.ndarray]:
@@ -156,20 +158,37 @@ def _ns_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _cg_columns(vs: ModelVertexSet) -> np.ndarray:
-    """The model's columns in Collins-Gisin coordinates, one LP column each."""
-    return _frozen(_ns_maps(vs.n)[0] @ vs.columns.reshape(len(vs.columns), -1).T)
+def _lp_columns(vs: ModelVertexSet) -> tuple[np.ndarray, np.ndarray, int]:
+    """The model's LP columns: each distinct column once, the local vertices
+    of its party count first and in their own order, then the model's others.
+    Returns the index of the first model column equal to each LP column, the
+    LP columns in Collins-Gisin coordinates, and how many are local."""
+    flat = vs.columns.reshape(len(vs.columns), -1)
+    first = {}
+    for i, col in enumerate(flat):
+        first.setdefault(col.tobytes(), i)
+    local_keys = (col.tobytes() for col in _local_vertex_set(vs.n).columns)
+    local = [first[key] for key in local_keys if key in first]
+    taken = set(local)
+    order = np.array(local + [i for i in first.values() if i not in taken])
+    return (_frozen(order), _frozen(_ns_maps(vs.n)[0] @ flat[order].T), len(local))
 
 
-def lp_membership(d: JointDistribution, vs: ModelVertexSet,
-                  tol: float = 1e-9) -> LPOutcome:
+def lp_membership(d: JointDistribution, vs: ModelVertexSet, tol: float = 1e-9,
+                  start: LPOutcome | None = None) -> LPOutcome:
     """Decide membership of a table in the model polytope, by an LP in
     Collins-Gisin coordinates.
 
-    Feasible outcomes carry weights reproducing the table to 1e-9; infeasible
-    ones a certificate table, rescaled to unit max entry and re-validated
-    against every column.  It is the table's part off the non-signaling span
-    when that has 1-norm above tol, else the Farkas vector lifted into the span.
+    The LP takes each distinct column once, the local vertices first.  A
+    model with more columns solves that local block, then resumes it over the
+    rest; start, this table's outcome over the local vertices, stands in for
+    the first solve.  Either way the pivots and verdict are the same.
+
+    Feasible outcomes carry weights reproducing the table to 1e-9, on the
+    first of equal columns; infeasible ones a certificate table, rescaled to
+    unit max entry and re-validated against every column.  It is the table's
+    part off the non-signaling span when that has 1-norm above tol, else the
+    Farkas vector lifted into the span.
     """
     if d.n != vs.n:
         raise DimensionMismatch(f"distribution has {d.n} parties, model {vs.n}")
@@ -179,18 +198,27 @@ def lp_membership(d: JointDistribution, vs: ModelVertexSet,
     off = p - proj @ p
     if np.abs(off).sum() > tol:
         # projected once more: rounding in proj @ p would swamp so small a part
-        return _certified(d, vs, off - proj @ off, 0)
-    res = phase1_simplex(_cg_columns(vs), cg @ p, tol=tol)
+        return _certified(d, vs, off - proj @ off, None)
+    order, cols, local = _lp_columns(vs)
+    b = cg @ p
+    prior = None if start is None else start.lp
+    if prior is None and local < len(order):
+        prior = phase1_simplex(cols[:, :local], b, tol=tol)
+    if prior is not None and prior.columns != local:
+        raise ValueError(f"start covers {prior.columns} columns, not the {local} local ones")
+    res = phase1_simplex(cols, b, tol=tol, start=prior)
     if res.feasible:
-        w = np.maximum(res.x, 0.0)
+        w = np.zeros(len(vs.columns))
+        w[order] = np.maximum(res.x, 0.0)
         err = np.abs(vs.columns.reshape(len(w), -1).T @ w - p).max()
         if err > 1e-9:
             raise NumericalFailure(f"feasible weights reproduce the table to {err:.3e} only")
-        return LPOutcome(True, _frozen(w), None, 0.0, res.pivots)
-    return _certified(d, vs, proj @ (cg.T @ res.y), res.pivots)
+        return LPOutcome(True, _frozen(w), None, 0.0, res.pivots, res)
+    return _certified(d, vs, proj @ (cg.T @ res.y), res)
 
 
-def _certified(d: JointDistribution, vs: ModelVertexSet, cert, pivots: int) -> LPOutcome:
+def _certified(d: JointDistribution, vs: ModelVertexSet, cert,
+               res: Phase1Result | None) -> LPOutcome:
     """The infeasible outcome for a separating table, re-validated."""
     cert = cert.reshape(d.p.shape)
     scale = np.abs(cert).max()
@@ -205,18 +233,19 @@ def _certified(d: JointDistribution, vs: ModelVertexSet, cert, pivots: int) -> L
     margin = float((cert * d.p).sum())
     if col_vals.max() > 1e-12 or margin <= 0.0:
         raise NumericalFailure("Farkas certificate failed re-validation")
-    return LPOutcome(False, None, _frozen(cert), margin, pivots)
+    return LPOutcome(False, None, _frozen(cert), margin, res.pivots if res else 0, res)
 
 
 def classify(d: JointDistribution) -> tuple[str, LPOutcome]:
     """Place a three-party table in the hierarchy: local, bilocal-but-nonlocal,
-    or genuinely nonlocal.  Returns the label and the deciding LP outcome."""
+    or genuinely nonlocal.  Returns the label and the deciding LP outcome.
+    The bilocal LP resumes the local one."""
     if d.n != 3:
         raise DimensionMismatch("classification is implemented for 3 parties")
     local = lp_membership(d, deterministic_local_vertices(3))
     if local.feasible:
         return "local", local
-    bilocal = lp_membership(d, bilocal_ns_vertices())
+    bilocal = lp_membership(d, bilocal_ns_vertices(), start=local)
     if bilocal.feasible:
         return "nonlocal-but-bilocal", bilocal
     return "genuinely-nonlocal", bilocal

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hardy import hardy_conditions
+from .hardy import _check_tolerances, hardy_conditions
 from .measure import MeasurementSettings, Ray, _contract_parties, born_distribution
 from .polytope import bilocal_ns_vertices, lp_membership
 from .qstate import (MAX_PARTIES, PureState, genuine_entanglement_check,
@@ -43,6 +43,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.multistarts < 1 or self.max_iters < 1:
             raise ValueError("multistarts and max_iters must be at least 1")
+        _check_tolerances(self.eps_zero, self.delta_pos)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from nonloc import SymmetricState, dicke_expand, fileio
+from nonloc import (JointDistribution, SymmetricState,
+                    deterministic_local_vertices, dicke_expand, fileio)
 from nonloc.cli import main
 from nonloc.measure import MeasurementSettings, Ray
 
@@ -84,6 +86,20 @@ def test_hardy_without_a_complete_input_is_a_usage_error(ghz_files, capsys):
         assert "--distribution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", (["--delta-pos", "-1"], ["--delta-pos", "nan"],
+                                  ["--eps-zero", "0"], ["--eps-zero", "nan"],
+                                  ["--eps-zero", "inf"]))
+def test_hardy_rejects_tolerances_it_cannot_honour(tmp_path, capsys, flag):
+    dist = tmp_path / "local_vertex.json"
+    fileio.write_json(dist, fileio.distribution_payload(
+        JointDistribution(3, deterministic_local_vertices(3).columns[3])))
+    assert main(["hardy", "--distribution", str(dist)]) == 1
+    capsys.readouterr()
+    assert main(["hardy", "--distribution", str(dist), *flag]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and flag[0][2:].replace("-", "_") in out.err
+
+
 def test_symmetric_ghz_fixture(capsys):
     assert main(["symmetric", "--ghz", "3", "0.7853981633974483",
                  "--x", "0,2"]) == 0
@@ -104,6 +120,20 @@ def test_symmetric_excluded_x(capsys):
     assert main(["symmetric", "--ghz", "3", "0.7853981633974483",
                  "--x", "1,0"]) == 1
     assert "excluded x" in capsys.readouterr().err
+
+
+def test_symmetric_ghz_needs_a_whole_party_count(capsys):
+    assert main(["symmetric", "--ghz", "3.5", "0.7"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "whole number of parties" in out.err
+
+
+@pytest.mark.parametrize("x", ("nan,0", "1,inf"))
+def test_symmetric_rejects_non_finite_x_at_parse_time(capsys, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["symmetric", "--ghz", "3", "0.7", "--x", x]) == 2
+    assert "expected finite parts" in capsys.readouterr().err
 
 
 def test_symmetric_rejects_ambiguous_input(tmp_path, capsys):
@@ -240,6 +270,13 @@ def test_verify_appendix(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert doc["vertices"] == 288
+
+
+@pytest.mark.parametrize("tol", ("nan", "inf", "-1"))
+def test_verify_appendix_rejects_bad_tolerances(capsys, tol):
+    assert main(["verify-appendix", "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "finite nonnegative tolerance" in out.err
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from nonloc import (DegenerateSettings, DensityMatrix, JointDistribution,
                     MeasurementSettings, Ray, SymmetricState, born_distribution,
-                    condition_cells, construct_hardy_state, dicke_expand,
-                    hardy_conditions, inequality1, inequality2,
+                    condition_cells, construct_hardy_state,
+                    deterministic_local_vertices, dicke_expand, hardy_conditions, inequality1, inequality2,
                     mixed_state_check)
 from conftest import random_settings
 
@@ -54,6 +54,19 @@ def test_pivot_validation():
         hardy_conditions(d, pivot=0)
     with pytest.raises(ValueError):
         hardy_conditions(d, pivot=4)
+
+
+@pytest.mark.parametrize("tolerances", (
+    {"delta_pos": -1.0}, {"delta_pos": float("nan")}, {"delta_pos": float("inf")},
+    {"eps_zero": 0.0}, {"eps_zero": -1e-9}, {"eps_zero": float("nan")},
+    {"eps_zero": float("inf")}))
+def test_tolerance_validation(tolerances):
+    # a local vertex whose success cell is zero must never pass the test
+    d = JointDistribution(3, deterministic_local_vertices(3).columns[3])
+    assert d.p[0, 0] == 0.0
+    assert not hardy_conditions(d, delta_pos=0.0).passed
+    with pytest.raises(ValueError):
+        hardy_conditions(d, **tolerances)
 
 
 def test_inequality1_pivot_validation():

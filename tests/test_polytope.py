@@ -363,3 +363,119 @@ def test_membership_agrees_with_highs_on_bilocal_mixtures(seed, size):
     d = JointDistribution(3, p)
     for model in (deterministic_local_vertices(3), vs):
         assert lp_membership(d, model).feasible == _highs_feasible(d, model)
+
+
+def _assert_classify_matches_cold(d: JointDistribution) -> None:
+    """classify's deciding outcome equals a cold call on the same model."""
+    label, outcome = classify(d)
+    model = deterministic_local_vertices(3) if label == "local" else bilocal_ns_vertices()
+    cold = lp_membership(d, model)
+    assert outcome.feasible == cold.feasible
+    assert outcome.iterations == cold.iterations
+    assert outcome.margin == cold.margin
+    for got, want in ((outcome.certificate, cold.certificate),
+                      (outcome.weights, cold.weights)):
+        assert (got is None) == (want is None)
+        assert got is None or got.tobytes() == want.tobytes()
+
+
+def test_classify_resume_matches_a_cold_bilocal_lp():
+    hardy = [_hardy_table(s) for s in (SymmetricState.ghz(3, np.pi / 4),
+                                       SymmetricState.w(3))]
+    for d in hardy + list(_criterion_6_mixtures(100)):
+        _assert_classify_matches_cold(d)
+    margins = [classify(d)[1].margin for d in hardy]
+    assert margins[0] >= 6.11e-3 and margins[1] >= 1.12e-2
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_classify_resume_matches_cold_lps_on_born_tables(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    _assert_classify_matches_cold(born_distribution(PureState(3, v),
+                                                    random_settings(3, rng)))
+
+
+def test_lp_columns_put_the_local_block_first():
+    vs, local = bilocal_ns_vertices(), deterministic_local_vertices(3)
+    order, cols, k = polytope._lp_columns(vs)
+    assert k == 64 and len(order) == 160
+    assert np.array_equal(vs.columns[order[:k]], local.columns)
+    assert all(i % 24 >= 16 for i in order[k:])   # the PR-box columns, once each
+    assert len({vs.columns[i].tobytes() for i in order}) == 160
+    assert np.array_equal(polytope._lp_columns(local)[0], np.arange(64))
+
+
+def test_bilocal_weights_skip_duplicate_columns(rng):
+    vs = bilocal_ns_vertices()
+    seen, duplicates = set(), []
+    for i, col in enumerate(vs.columns):
+        key = col.tobytes()
+        if key in seen:
+            duplicates.append(i)
+        seen.add(key)
+    assert len(duplicates) == 128     # the local vertices' second and third copies
+    for d in list(_criterion_6_mixtures(6)) + [JointDistribution(3, vs.columns[200])]:
+        out = lp_membership(d, vs)
+        assert out.feasible and out.weights.shape == (288,)
+        assert not out.weights[duplicates].any()
+        recon = np.einsum("c,csr->sr", out.weights, vs.columns)
+        assert np.abs(recon - d.p).max() <= 1e-9
+
+
+def test_membership_rejects_a_start_over_other_columns():
+    vs = bilocal_ns_vertices()
+    d = _hardy_table(SymmetricState.w(3))
+    with pytest.raises(ValueError):
+        lp_membership(d, vs, start=lp_membership(d, vs))
+
+
+def _random_system(rng, rows: int, cols: int, feasible: bool):
+    """A x = b with a random solution x >= 0, or with a first row whose
+    entries are positive while its right-hand side is not."""
+    a = rng.standard_normal((rows, cols))
+    b = a @ rng.random(cols)
+    if not feasible:
+        a[0] = np.abs(a[0])
+        b[0] = -1.0
+    return a, b
+
+
+@pytest.mark.parametrize("feasible", (True, False))
+def test_resumed_simplex_agrees_with_a_cold_solve(rng, feasible):
+    for _ in range(20):
+        a, b = _random_system(rng, 6, 14, feasible)
+        first = simplex.phase1_simplex(a[:, :5], b)
+        resumed = simplex.phase1_simplex(a, b, start=first)
+        cold = simplex.phase1_simplex(a, b)
+        assert resumed.feasible == cold.feasible == feasible
+        assert resumed.pivots >= first.pivots
+        if resumed.feasible:
+            assert resumed.x.min() >= 0.0
+            assert np.abs(a @ resumed.x - b).max() <= 1e-9
+        else:
+            assert (resumed.y @ a).max() <= 1e-9 and resumed.y @ b > 1e-9
+
+
+def test_resume_without_new_columns_keeps_the_verdict():
+    a, cg = polytope._lp_columns(deterministic_local_vertices(3))[1], polytope._ns_maps(3)[0]
+    hardy = _hardy_table(SymmetricState.ghz(3, np.pi / 4))
+    for d in (hardy, JointDistribution(3, np.full((8, 8), 1 / 8))):
+        b = cg @ d.p.reshape(-1)
+        start = simplex.phase1_simplex(a, b)
+        again = simplex.phase1_simplex(a, b, start=start)
+        assert (again.feasible, again.pivots, again.objective) == \
+            (start.feasible, start.pivots, start.objective)
+        for got, want in ((again.x, start.x), (again.y, start.y)):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+
+
+def test_resume_from_another_b_is_refused():
+    a, b = _random_system(np.random.default_rng(7), 5, 9, True)
+    start = simplex.phase1_simplex(a[:, :4], b)
+    with pytest.raises(ValueError):
+        simplex.phase1_simplex(a, b + 1e-3, start=start)
+    with pytest.raises(ValueError):
+        simplex.phase1_simplex(a[:, :3], b, start=start)

@@ -89,6 +89,14 @@ def test_search_config_rejects_empty_searches():
         SearchConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("tolerances", ({"eps_zero": 0.0}, {"eps_zero": float("nan")},
+                                        {"delta_pos": -1.0}, {"delta_pos": float("inf")}))
+def test_search_config_rejects_tolerances_it_cannot_honour(tolerances):
+    # with eps_zero = 0 no start could pass, and every start would still run
+    with pytest.raises(ValueError):
+        SearchConfig(**tolerances)
+
+
 def test_find_settings_product_state():
     amps = np.zeros(8)
     amps[0] = 1.0
