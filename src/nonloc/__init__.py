@@ -28,10 +28,9 @@ from .qstate import (Bipartition, DensityMatrix, PureState, SymmetricState,
                      to_magic_basis)
 from .search import (ExperimentRecord, ExperimentSummary, NoSettingsFound,
                      SearchConfig, find_settings, random_experiment)
-from .symmetric import (CCoeffs, SymmetricSolution, c_coeffs,
-                        degenerate_x_roots, f_poly_roots, ghz_closed_form,
-                        phase_pick, solve_auto, solve_settings,
-                        w_closed_form)
+from .symmetric import (SymmetricSolution, degenerate_x_roots, f_poly_roots,
+                        ghz_closed_form, phase_pick, solve_auto,
+                        solve_settings, w_closed_form)
 
 __all__ = [
     "__version__",
@@ -46,7 +45,7 @@ __all__ = [
     "born_distribution", "ns_residual",
     "HardyReport", "HardySubspace", "condition_cells", "hardy_conditions",
     "inequality1", "inequality2", "construct_hardy_state", "mixed_state_check",
-    "CCoeffs", "SymmetricSolution", "c_coeffs", "degenerate_x_roots",
+    "SymmetricSolution", "degenerate_x_roots",
     "f_poly_roots", "phase_pick", "solve_settings",
     "solve_auto", "ghz_closed_form", "w_closed_form",
     "ModelVertexSet", "LPOutcome", "ns_bipartite_vertices",

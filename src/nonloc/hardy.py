@@ -26,6 +26,8 @@ from .errors import DegenerateSettings, NumericalFailure
 from .measure import JointDistribution, MeasurementSettings, born_distribution
 from .qstate import DensityMatrix, PureState, _frozen
 
+_MIXED_TOL = 1e-8  # eigenvalue and fidelity tolerance of mixed_state_check
+
 
 @dataclass(frozen=True)
 class HardyReport:
@@ -152,7 +154,7 @@ def construct_hardy_state(settings: MeasurementSettings) -> HardySubspace:
     return HardySubspace(settings, _frozen(basis), phi)
 
 
-def mixed_state_check(rho: DensityMatrix, sub: HardySubspace, tol: float = 1e-8) -> bool:
+def mixed_state_check(rho: DensityMatrix, sub: HardySubspace) -> bool:
     """Whether the projection of rho into the settings' subspace is proportional
     to |phi><phi|, the necessary and sufficient condition for a mixed state to
     satisfy every zero condition of the test."""
@@ -160,8 +162,8 @@ def mixed_state_check(rho: DensityMatrix, sub: HardySubspace, tol: float = 1e-8)
     proj = q @ q.conj().T
     inside = proj @ rho.entries @ proj
     w, v = np.linalg.eigh(inside)
-    if w[-1] <= tol:
+    if w[-1] <= _MIXED_TOL:
         return True
-    if w[-2] > tol:
+    if w[-2] > _MIXED_TOL:
         return False
-    return abs(np.vdot(sub.phi.amplitudes, v[:, -1])) ** 2 >= 1.0 - tol
+    return abs(np.vdot(sub.phi.amplitudes, v[:, -1])) ** 2 >= 1.0 - _MIXED_TOL

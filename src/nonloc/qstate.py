@@ -17,6 +17,8 @@ import numpy as np
 from .errors import OptimizerDidNotConverge
 
 MAX_PARTIES = 8
+_BLOCH_GRID = 64     # closest_product_state ranks the cells of this square grid
+_REFINE_STARTS = 5   # and runs Newton's method from this many leading cells
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -167,12 +169,12 @@ def dicke_expand(s: SymmetricState) -> PureState:
     return PureState(s.n, amps)
 
 
-@functools.lru_cache(maxsize=4)
-def _bloch_grid(grid: int):
-    """Read-only t, phi and, on the grid x grid cells (t, phi),
+@functools.cache
+def _bloch_grid():
+    """Read-only t, phi and, on the _BLOCH_GRID x _BLOCH_GRID cells (t, phi),
     c = cos(t/2) and sig = e^{-i phi} sin(t/2)."""
-    t = np.linspace(0.0, math.pi, grid)
-    phi = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    t = np.linspace(0.0, math.pi, _BLOCH_GRID)
+    phi = np.linspace(0.0, 2 * math.pi, _BLOCH_GRID, endpoint=False)
     tt, pp = np.meshgrid(t, phi, indexing="ij")
     return tuple(map(_frozen, (t, phi, np.cos(tt / 2), np.sin(tt / 2) * np.exp(-1j * pp))))
 
@@ -236,7 +238,7 @@ def _majorana_newton(coeffs: list[complex], w: complex):
     return w, abs(p) / r2 ** (n / 2), abs(g) / (n * r2 ** (n / 2))
 
 
-def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int = 5):
+def closest_product_state(s: SymmetricState):
     """Best product approximation (beta^n) of a symmetric state.
 
     Returns (beta, overlap) with beta a unit single-qubit vector and
@@ -255,11 +257,11 @@ def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int 
     """
     n = s.n
     coeffs = [complex(s.h[k]) * math.comb(n, k) for k in range(n + 1)]
-    t, phi, cos_grid, sig_grid = _bloch_grid(grid)
+    t, phi, cos_grid, sig_grid = _bloch_grid()
     # rounded so exact ties (balanced states) go to the earliest cell, not to
     # float noise; a stable sort of the cells up to the k-th value leads as a full one
     vals = -np.round(np.abs(_overlap(coeffs, cos_grid, sig_grid)), 12).ravel()
-    k = min(refine_starts, vals.size)
+    k = min(_REFINE_STARTS, vals.size)
     cells = np.flatnonzero(vals <= np.partition(vals, k - 1)[k - 1])
     order = cells[np.argsort(vals[cells], kind="stable")][:k]
 
@@ -267,7 +269,7 @@ def closest_product_state(s: SymmetricState, grid: int = 64, refine_starts: int 
     best_val = -1.0
     best_res = np.inf
     for flat in order:
-        i, j = divmod(int(flat), grid)
+        i, j = divmod(int(flat), _BLOCH_GRID)
         c, sig = math.cos(t[i] / 2), math.sin(t[i] / 2) * cmath.exp(-1j * phi[j])
         if abs(sig) > c:
             v, val, res = _majorana_newton(coeffs[::-1], c / sig)

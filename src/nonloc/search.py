@@ -219,6 +219,8 @@ def random_experiment(n: int, count: int, seed: int, cfg: SearchConfig,
         raise ValueError(f"experiment supports n = 3..{MAX_PARTIES}, got {n}")
     if count < 1 or jobs < 1:
         raise ValueError("count and jobs must be at least 1")
+    if lp_subsample < 0:
+        raise ValueError(f"lp_subsample must be nonnegative, got {lp_subsample}")
     if lp_subsample > 0 and n != 3:
         raise ValueError("the LP cross-check (lp_subsample) supports n = 3 only")
     tasks = [(n, seed, i, cfg, i < lp_subsample) for i in range(count)]

@@ -9,33 +9,31 @@ x on parties 2..n, the test conditions collapse onto the two-qubit vector
 and the remaining parameters follow by three division formulas.  The x values
 to avoid are the roots of c1^2 - c0*c2 (degenerate reduced state) and, along a
 ray of fixed phase, the roots of the success-probability polynomial F.
+
+Every solution, `solve_auto`'s rotated-back settings included, is verified on
+the same reduction, in O(n) and without a 2^n table: parties 2..n share one
+ray pair, so the 2n cells take the four values of the test on <a^(n-2)|psi>.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateX, IdenticallyZeroF, IdenticallyZeroPolynomial,
                      NotEntangled, NumericalFailure, SingularDenominator)
-from .measure import MeasurementSettings, amplitude_table, born_distribution
-from .hardy import condition_cells, hardy_conditions
-from .qstate import SymmetricState, dicke_expand, genuine_entanglement_check, to_magic_basis
+from .measure import MeasurementSettings, amplitude_table
+from .hardy import condition_cells
+from .qstate import SymmetricState, _overlap, genuine_entanglement_check, to_magic_basis
 
-_EXCLUSION_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class CCoeffs:
-    """The three reduced coefficients c0, c1, c2 at one setting parameter x."""
-
-    c0: complex
-    c1: complex
-    c2: complex
+_EXCLUSION_MARGIN = 1e-6   # distance kept from each excluded root and modulus
+_MODULUS_MARGIN = 0.05     # distance solve_auto keeps from each excluded modulus
+_TRIM_TOL = 1e-12          # trailing coefficients below this are dropped
+_ENTANGLEMENT_EPS = 1e-8   # Schmidt threshold of solve_auto's entanglement check
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,15 +56,8 @@ def _c_poly(s: SymmetricState, i: int) -> np.ndarray:
                     dtype=complex)
 
 
-def c_coeffs(s: SymmetricState, x: complex) -> CCoeffs:
-    """Evaluate the three reduced coefficients at x."""
-    if s.n < 3:
-        raise ValueError("reduced coefficients require at least 3 parties")
-    return CCoeffs(*(complex(npoly.polyval(x, _c_poly(s, i))) for i in range(3)))
-
-
-def _trim(coeffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    nz = np.nonzero(np.abs(coeffs) >= tol)[0]
+def _trim(coeffs: np.ndarray) -> np.ndarray:
+    nz = np.nonzero(np.abs(coeffs) >= _TRIM_TOL)[0]
     if nz.size == 0:
         return np.zeros(0, dtype=coeffs.dtype)
     return coeffs[: nz[-1] + 1]
@@ -160,46 +151,53 @@ def _safe_div(num: complex, den: complex, what: str) -> complex:
     return num / den
 
 
-def _solve_at(s: SymmetricState, x: complex, deg, fr,
-              margin: float = _EXCLUSION_MARGIN) -> SymmetricSolution:
-    """solve_settings at x, given the degeneracy and F roots along its phase."""
-    for r in deg:
-        if abs(x - r) < margin:
-            raise DegenerateX(f"x = {x} is within {margin} of degeneracy root {r}")
-    for t in fr:
-        if abs(abs(x) - t) < margin:
-            raise DegenerateX(f"|x| = {abs(x)} is within {margin} of excluded modulus {t}")
-    c = c_coeffs(s, x)
-    y1 = _safe_div(-(c.c0 + x * c.c1), c.c1 + x * c.c2, "y1")
-    y = _safe_div(np.conj(c.c2) - y1 * np.conj(c.c1),
-                  np.conj(c.c1) - y1 * np.conj(c.c0), "y")
-    x1 = _safe_div(-(c.c0 + y * c.c1), c.c1 + y * c.c2, "x1")
+def _verified_p_success(s: SymmetricState, settings: MeasurementSettings,
+                        eps_zero: float, delta_pos: float, what: str) -> float:
+    """The success probability of settings whose parties 2..n share one ray
+    pair (a, b), read off psi12 = <a^(n-2)|psi> = (c0, c1, c1, c2); raises
+    NumericalFailure unless every zero cell is below eps_zero and the success
+    probability above delta_pos.  c_i = sum_k h_{k+i} C(n-2, k) a0*^(n-2-k)
+    a1*^k is homogeneous, so a ray at the pole (a0 = 0) needs no division."""
+    a = settings.pairs[1][0]
+    c = [_overlap(_c_poly(s, i), a.c0.conjugate(), a.c1.conjugate()) for i in (0, 1, 1, 2)]
+    rest_norm = (abs(a.c0) ** 2 + abs(a.c1) ** 2) ** (s.n - 2)
+    cells = amplitude_table(np.array(c), settings.outcome_bras()[:2])[condition_cells(2)]
+    probs = np.abs(cells) ** 2 / rest_norm
+    p_success, zero_max = float(probs[0]), float(probs[1:].max())
+    if not (zero_max < eps_zero and p_success > delta_pos):
+        raise NumericalFailure(f"{what} fail verification "
+                               f"(p = {p_success:.3e}, max residual {zero_max:.3e})")
+    return p_success
 
-    # psi12 = <a^(n-2)|psi> on parties 1 and 2; rest_norm is the squared
-    # norm of the unnormalized a rays of parties 3..n
-    psi12 = np.array([c.c0, c.c1, c.c1, c.c2])
-    rest_norm = (1.0 + abs(x) ** 2) ** (s.n - 2)
-    pair = MeasurementSettings.from_shared_params(2, x1, y1, x, y)
-    probs = np.abs(amplitude_table(psi12, pair.outcome_bras())[condition_cells(2)]) ** 2
-    p_success = float(probs[0] / rest_norm)
-    zero_max = float(probs[1:].max() / rest_norm)
-    if zero_max >= 1e-10:
-        raise NumericalFailure(f"assembled settings leave residual {zero_max:.3e}")
-    if p_success <= 0.0:
-        raise NumericalFailure("assembled settings give zero success probability")
+
+def _solve_at(s: SymmetricState, x: complex, deg, fr) -> SymmetricSolution:
+    """solve_settings at x, given the degeneracy and F roots along its phase."""
+    if s.n < 3:
+        raise ValueError("symmetric solver requires at least 3 parties")
+    for r in deg:
+        if abs(x - r) < _EXCLUSION_MARGIN:
+            raise DegenerateX(f"x = {x} is within {_EXCLUSION_MARGIN} of degeneracy root {r}")
+    for t in fr:
+        if abs(abs(x) - t) < _EXCLUSION_MARGIN:
+            raise DegenerateX(
+                f"|x| = {abs(x)} is within {_EXCLUSION_MARGIN} of excluded modulus {t}")
+    c0, c1, c2 = (complex(npoly.polyval(x, _c_poly(s, i))) for i in range(3))
+    y1 = _safe_div(-(c0 + x * c1), c1 + x * c2, "y1")
+    y = _safe_div(np.conj(c2) - y1 * np.conj(c1), np.conj(c1) - y1 * np.conj(c0), "y")
+    x1 = _safe_div(-(c0 + y * c1), c1 + y * c2, "x1")
     settings = MeasurementSettings.from_shared_params(s.n, x1, y1, x, y)
+    p_success = _verified_p_success(s, settings, 1e-10, 0.0, "assembled settings")
     return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1), settings,
                              p_success, tuple(sorted({abs(r) for r in deg} | set(fr))))
 
 
-def solve_settings(s: SymmetricState, x: complex,
-                   margin: float = _EXCLUSION_MARGIN) -> SymmetricSolution:
+def solve_settings(s: SymmetricState, x: complex) -> SymmetricSolution:
     """Solve the three zero conditions for the remaining parameters at a given x.
 
     The assembled rays are |a_1> = |0> + x1*|1>, |b_1> = |0> + y1*|1>, and
     |a_k> = |0> + x*|1>, |b_k> = |0> + y*|1> on every other party.
     """
-    return _solve_at(s, x, *_roots_along(s, cmath.phase(x)), margin)
+    return _solve_at(s, x, *_roots_along(s, cmath.phase(x)))
 
 
 def _roots_along(s: SymmetricState, w: float):
@@ -252,7 +250,7 @@ def w_closed_form(n: int, x: complex) -> float:
     return float(num / den)
 
 
-def _pick_modulus(excluded, margin: float = 0.05) -> float:
+def _pick_modulus(excluded) -> float:
     """First scan value (1.0, 1.1, 0.9, ...) clear of every excluded modulus,
     falling back to midpoints of the gaps between excluded values."""
     candidates = [1.0]
@@ -263,18 +261,18 @@ def _pick_modulus(excluded, margin: float = 0.05) -> float:
         candidates.append(pts[-1] + 1.0)
         candidates.extend((lo + hi) / 2 for lo, hi in zip(pts, pts[1:]))
     for t in candidates:
-        if t >= 0.1 and all(abs(t - e) >= margin for e in excluded):
+        if t >= 0.1 and all(abs(t - e) >= _MODULUS_MARGIN for e in excluded):
             return t
     raise NumericalFailure("no admissible setting modulus found")
 
 
-def solve_auto(s: SymmetricState, entanglement_eps: float = 1e-8) -> SymmetricSolution:
+def solve_auto(s: SymmetricState) -> SymmetricSolution:
     """End-to-end solver: rotate to the magic basis, pick an admissible phase
     and modulus, solve, rotate the settings back, and verify the conditions on
     the original state."""
     if s.n < 3:
         raise ValueError("symmetric solver requires at least 3 parties")
-    if not genuine_entanglement_check(s, entanglement_eps):
+    if not genuine_entanglement_check(s, _ENTANGLEMENT_EPS):
         raise NotEntangled("state is within eps of a product across some cut")
     sm, u = to_magic_basis(s)
     w = phase_pick(sm)
@@ -286,11 +284,5 @@ def solve_auto(s: SymmetricState, entanglement_eps: float = 1e-8) -> SymmetricSo
     t = _pick_modulus({abs(r) for r in deg} | set(fr))
     sol = _solve_at(sm, t * cmath.exp(1j * w), deg, fr)
     settings = sol.settings.transformed(u.conj().T)
-    report = hardy_conditions(born_distribution(dicke_expand(s), settings), pivot=1,
-                              eps_zero=1e-8, delta_pos=1e-10)
-    if not report.passed:
-        raise NumericalFailure(
-            f"rotated-back settings fail verification "
-            f"(p = {report.p_success:.3e}, max residual {max(report.zero_residuals):.3e})")
-    return SymmetricSolution(sol.x, sol.y1, sol.y, sol.x1, settings,
-                             report.p_success, sol.excluded_x)
+    p = _verified_p_success(s, settings, 1e-8, 1e-10, "rotated-back settings")
+    return replace(sol, settings=settings, p_success=p)

@@ -244,6 +244,14 @@ def test_experiment_lp_subsample_needs_three_parties(capsys):
     assert "n = 3 only" in capsys.readouterr().err
 
 
+def test_experiment_rejects_a_negative_lp_subsample(tmp_path, capsys):
+    args = ["experiment", "--n", "3", "--count", "1", "--lp-subsample", "-1",
+            "--out", str(tmp_path / "x")]
+    assert main(args) == 2
+    assert "lp_subsample must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("flags", (["--multistarts", "0"], ["--max-iters", "0"],
                                    ["--jobs", "0"], ["--jobs", "-2"]))
 def test_experiment_rejects_invalid_search_settings(tmp_path, capsys, flags):

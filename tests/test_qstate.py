@@ -173,7 +173,7 @@ def test_newton_step_matches_lstsq():
 
 
 def test_cached_bloch_grid_is_read_only():
-    for arr in qstate._bloch_grid(64):
+    for arr in qstate._bloch_grid():
         assert not arr.flags.writeable
 
 

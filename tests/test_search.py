@@ -163,6 +163,11 @@ def test_experiment_validates_n():
             random_experiment(3, 1, seed=0, cfg=CFG, jobs=jobs)
 
 
+def test_experiment_rejects_a_negative_lp_subsample():
+    with pytest.raises(ValueError, match="lp_subsample must be nonnegative"):
+        random_experiment(3, 1, seed=0, cfg=CFG, lp_subsample=-1)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is most of the import time, and only the search needs it
     src = Path(nonloc.__file__).resolve().parents[1]

@@ -4,30 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from nonloc import (DegenerateX, IdenticallyZeroPolynomial, NotEntangled,
-                    SingularDenominator, SymmetricState, born_distribution, c_coeffs,
-                    closest_product_state, degenerate_x_roots, dicke_expand, f_poly_roots,
-                    ghz_closed_form, hardy_conditions, phase_pick, solve_auto,
-                    solve_settings, to_magic_basis, w_closed_form)
-from nonloc.symmetric import sweep_settings
-from conftest import random_symmetric
+from numpy.polynomial import polynomial as npoly
+
+from nonloc import (DegenerateX, IdenticallyZeroPolynomial, MeasurementSettings,
+                    NotEntangled, NumericalFailure, Ray, SingularDenominator,
+                    SymmetricState, born_distribution, closest_product_state,
+                    degenerate_x_roots, dicke_expand, f_poly_roots, ghz_closed_form,
+                    hardy_conditions, phase_pick, solve_auto, solve_settings,
+                    to_magic_basis, w_closed_form)
+from nonloc.symmetric import _c_poly, _verified_p_success, sweep_settings
+from conftest import random_ray, random_symmetric
 
 GHZ34 = SymmetricState.ghz(3, np.pi / 4)
 W3 = SymmetricState.w(3)
 
 
+def _c_at(s, x):
+    return [npoly.polyval(x, _c_poly(s, i)) for i in range(3)]
+
+
 def test_c_coeffs_ghz():
-    c = c_coeffs(GHZ34, 2j)
-    assert abs(c.c0 - 1 / math.sqrt(2)) < 1e-12
-    assert abs(c.c1) < 1e-12
-    assert abs(c.c2 - 2j / math.sqrt(2)) < 1e-12
+    c0, c1, c2 = _c_at(GHZ34, 2j)
+    assert abs(c0 - 1 / math.sqrt(2)) < 1e-12
+    assert abs(c1) < 1e-12
+    assert abs(c2 - 2j / math.sqrt(2)) < 1e-12
 
 
 def test_c_coeffs_w():
-    c = c_coeffs(W3, 1.0)
-    assert abs(c.c0 - 1 / math.sqrt(3)) < 1e-12
-    assert abs(c.c1 - 1 / math.sqrt(3)) < 1e-12
-    assert abs(c.c2) < 1e-12
+    c0, c1, c2 = _c_at(W3, 1.0)
+    assert abs(c0 - 1 / math.sqrt(3)) < 1e-12
+    assert abs(c1 - 1 / math.sqrt(3)) < 1e-12
+    assert abs(c2) < 1e-12
 
 
 def test_degenerate_roots_ghz():
@@ -240,6 +247,49 @@ def test_solve_auto_w_end_to_end():
     report = hardy_conditions(born_distribution(dicke_expand(W3), sol.settings),
                               eps_zero=1e-8, delta_pos=1e-10)
     assert report.passed
+
+
+def _reduced_check_passes(s, settings, eps_zero, delta_pos):
+    try:
+        _verified_p_success(s, settings, eps_zero, delta_pos, "settings")
+    except NumericalFailure:
+        return False
+    return True
+
+
+def _matches_dense_oracle(s, settings, eps_zero, delta_pos):
+    """Compare the O(n) check with the Born table of the dense state: success
+    probability to 1e-12 relative, largest zero residual to 1e-14 absolute
+    (the check passes just above the dense value and fails just below it), and
+    the verdict at the given bounds, which is returned."""
+    dense = hardy_conditions(born_distribution(dicke_expand(s), settings),
+                             eps_zero=eps_zero, delta_pos=delta_pos)
+    p = _verified_p_success(s, settings, math.inf, -math.inf, "settings")
+    assert abs(p - dense.p_success) <= 1e-12 * dense.p_success
+    zero = max(dense.zero_residuals)
+    assert _reduced_check_passes(s, settings, zero + 1e-14, -math.inf)
+    assert not _reduced_check_passes(s, settings, zero - 1e-14, -math.inf)
+    assert _reduced_check_passes(s, settings, eps_zero, delta_pos) == dense.passed
+    return dense.passed
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_reduced_check_matches_the_dense_oracle(n):
+    # solve_auto's rotated-back settings pass both; with y nudged by 1e-3 both
+    # reject them; past theta = pi / 4 GHZ states rotate from the south pole,
+    # and a shared ray at the pole, a = |1>, must not be divided by a_0 = 0
+    rng = np.random.default_rng(70 + n)
+    states = [random_symmetric(n, rng) for _ in range(3)]
+    states += [SymmetricState.w(n), SymmetricState.ghz(n, 1.0), SymmetricState.ghz(n, 1.4)]
+    for s in states:
+        sol = solve_auto(s)
+        assert _matches_dense_oracle(s, sol.settings, 1e-8, 1e-10)
+        _, u = to_magic_basis(s)
+        nudged = MeasurementSettings.from_shared_params(n, sol.x1, sol.y1, sol.x, sol.y + 1e-3)
+        assert not _matches_dense_oracle(s, nudged.transformed(u.conj().T), 1e-10, 0.0)
+        pole = MeasurementSettings(n, ((random_ray(rng), random_ray(rng)),)
+                                   + ((Ray(0.0, 1.0), random_ray(rng)),) * (n - 1))
+        assert not _matches_dense_oracle(s, pole, 1e-8, 1e-10)
 
 
 def test_solve_auto_avoids_excluded_moduli():
