@@ -79,11 +79,10 @@ class MeasurementSettings:
         return list(np.stack([v.conj(), orth], axis=2).reshape(self.n, 4, 2))
 
     def transformed(self, u: np.ndarray) -> "MeasurementSettings":
-        """Apply the same single-qubit matrix to every ray."""
-        pairs = tuple(
-            (Ray(*(u @ np.array([a.c0, a.c1]))), Ray(*(u @ np.array([b.c0, b.c1]))))
-            for a, b in self.pairs)
-        return MeasurementSettings(self.n, pairs)
+        """Apply the same single-qubit matrix to every ray, once per distinct pair."""
+        moved = {pair: tuple(Ray(*(u @ np.array([r.c0, r.c1]))) for r in pair)
+                 for pair in set(self.pairs)}
+        return MeasurementSettings(self.n, tuple(moved[pair] for pair in self.pairs))
 
 
 @dataclass(frozen=True, eq=False)

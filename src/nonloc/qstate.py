@@ -170,13 +170,18 @@ def dicke_expand(s: SymmetricState) -> PureState:
 
 
 @functools.cache
-def _bloch_grid():
-    """Read-only t, phi and, on the _BLOCH_GRID x _BLOCH_GRID cells (t, phi),
-    c = cos(t/2) and sig = e^{-i phi} sin(t/2)."""
+def _bloch_grid(n: int):
+    """Read-only t, phi of the start cells (t_i, phi_j) and cos_pow, phases with
+    <beta^n|psi> = (cos_pow * coeffs) @ phases there: cos_pow[i, k] =
+    cos(t_i/2)^(n-k) sin(t_i/2)^k, phases[k, j] = e^{-ik phi_j}.  Columns j and
+    -j are exact conjugates, so mirror cells of a real state tie exactly."""
     t = np.linspace(0.0, math.pi, _BLOCH_GRID)
     phi = np.linspace(0.0, 2 * math.pi, _BLOCH_GRID, endpoint=False)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    return tuple(map(_frozen, (t, phi, np.cos(tt / 2), np.sin(tt / 2) * np.exp(-1j * pp))))
+    k = np.arange(n + 1)
+    cos_pow = np.cos(t / 2)[:, None] ** (n - k) * np.sin(t / 2)[:, None] ** k
+    phases = np.exp(-1j * np.outer(k, phi))
+    phases[:, :_BLOCH_GRID // 2:-1] = phases[:, 1:_BLOCH_GRID // 2].conj()
+    return tuple(map(_frozen, (t, phi, cos_pow, phases)))
 
 
 def _overlap(coeffs: list[complex], c, sig):
@@ -257,10 +262,10 @@ def closest_product_state(s: SymmetricState):
     """
     n = s.n
     coeffs = [complex(s.h[k]) * math.comb(n, k) for k in range(n + 1)]
-    t, phi, cos_grid, sig_grid = _bloch_grid()
+    t, phi, cos_pow, phases = _bloch_grid(n)
     # rounded so exact ties (balanced states) go to the earliest cell, not to
     # float noise; a stable sort of the cells up to the k-th value leads as a full one
-    vals = -np.round(np.abs(_overlap(coeffs, cos_grid, sig_grid)), 12).ravel()
+    vals = -np.round(np.abs((cos_pow * coeffs) @ phases), 12).ravel()
     k = min(_REFINE_STARTS, vals.size)
     cells = np.flatnonzero(vals <= np.partition(vals, k - 1)[k - 1])
     order = cells[np.argsort(vals[cells], kind="stable")][:k]

@@ -13,6 +13,7 @@ ray of fixed phase, the roots of the success-probability polynomial F.
 Every solution, `solve_auto`'s rotated-back settings included, is verified on
 the same reduction, in O(n) and without a 2^n table: parties 2..n share one
 ray pair, so the 2n cells take the four values of the test on <a^(n-2)|psi>.
+All of it works on one 3 x (n-1) table of c_i coefficients, without numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateX, IdenticallyZeroF, IdenticallyZeroPolynomial,
                      NotEntangled, NumericalFailure, SingularDenominator)
@@ -49,11 +49,19 @@ class SymmetricSolution:
     excluded_x: tuple[float, ...]
 
 
-def _c_poly(s: SymmetricState, i: int) -> np.ndarray:
-    """Ascending coefficient array of c_i as a polynomial in x."""
-    n = s.n
-    return np.array([s.h[k + i] * math.comb(n - 2, k) for k in range(n - 1)],
-                    dtype=complex)
+def _c_table(s: SymmetricState) -> np.ndarray:
+    """The c table: row i holds c_i's ascending coefficients h_{k+i} C(n-2, k)."""
+    m = s.n - 1
+    return np.stack([s.h[i:i + m] for i in range(3)]) * [math.comb(m - 1, k) for k in range(m)]
+
+
+def _horner(c: np.ndarray, x):
+    """Rows of c (ascending along the last axis) at x, in numpy's polyval order."""
+    c = c.T[(...,) + (None,) * np.ndim(x)]
+    out = c[-1] + x * 0
+    for a in c[-2::-1]:
+        out = a + out * x
+    return out
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -63,29 +71,41 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: nz[-1] + 1]
 
 
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the companion matrix, laid out as NumPy 2's polycompanion."""
+    d = coeffs.size - 1
+    mat = np.zeros((d, d), dtype=coeffs.dtype)
+    mat.reshape(-1)[d::d + 1] = 1
+    mat[:, -1] -= coeffs[:-1] / coeffs[-1]
+    return np.sort(np.linalg.eigvals(mat))
+
+
 def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
     """Companion-matrix roots with two Newton correction steps each."""
-    roots = npoly.polyroots(coeffs)
-    deriv = npoly.polyder(coeffs)
+    roots = _companion_roots(coeffs)
+    p_dp = np.stack([coeffs, np.append(np.arange(1, coeffs.size) * coeffs[1:], 0)])
     for _ in range(2):
-        num = npoly.polyval(roots, coeffs)
-        den = npoly.polyval(roots, deriv)
+        num, den = _horner(p_dp, roots)
         safe = np.abs(den) > 1e-300
         roots = np.where(safe, roots - num / np.where(safe, den, 1.0), roots)
     return roots
 
 
+def _degeneracy_coeffs(c: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of c1^2 - c0*c2 for the c table c."""
+    return np.convolve(c[1], c[1]) - np.convolve(c[0], c[2])
+
+
 def degenerate_x_roots(s: SymmetricState) -> tuple[complex, ...]:
     """Roots of c1^2 - c0*c2, where the reduced two-qubit state degenerates."""
-    p = npoly.polysub(npoly.polymul(_c_poly(s, 1), _c_poly(s, 1)),
-                      npoly.polymul(_c_poly(s, 0), _c_poly(s, 2)))
-    p = _trim(p)
+    c = _c_table(s)
+    p = _trim(_degeneracy_coeffs(c))
     if p.size == 0:
         raise IdenticallyZeroPolynomial("c1^2 - c0*c2 vanishes identically")
     if p.size == 1:
         return ()
     roots = _polished_roots(p)
-    c0, c1, c2 = npoly.polyval(roots, np.stack([_c_poly(s, i) for i in range(3)], axis=1))
+    c0, c1, c2 = _horner(c, roots)
     sv = np.linalg.svd(np.stack([c0, c1, c1, c2], axis=-1).reshape(-1, 2, 2),
                        compute_uv=False)
     bad = np.flatnonzero(sv[:, 1] >= 1e-8 * np.maximum(1.0, sv[:, 0]))
@@ -95,28 +115,26 @@ def degenerate_x_roots(s: SymmetricState) -> tuple[complex, ...]:
     return tuple(complex(r) for r in roots[order])
 
 
-def _f_poly_coeffs(s: SymmetricState, w: float) -> np.ndarray:
+def _f_coeffs(c: np.ndarray, w: float) -> np.ndarray:
     """Coefficients in t of F(t e^{iw}, t e^{-iw}) where F is the
     success-probability numerator polynomial
 
         F = c1 c2* + c0 c1* + (|c2|^2 - |c0|^2) x - (c1* c2 + c0* c1) x^2.
     """
     e = cmath.exp(1j * w)
-    polys = [_c_poly(s, i) for i in range(3)]
-    fwd = [c * e ** np.arange(c.size) for c in polys]
-    rev = [np.conj(c) * np.conj(e) ** np.arange(c.size) for c in polys]
-    f = npoly.polyadd(npoly.polymul(fwd[1], rev[2]), npoly.polymul(fwd[0], rev[1]))
-    lin = npoly.polysub(npoly.polymul(fwd[2], rev[2]), npoly.polymul(fwd[0], rev[0]))
-    f = npoly.polyadd(f, e * npoly.polymulx(lin))
-    quad = npoly.polyadd(npoly.polymul(rev[1], fwd[2]), npoly.polymul(rev[0], fwd[1]))
-    f = npoly.polysub(f, e ** 2 * npoly.polymulx(npoly.polymulx(quad)))
-    return np.asarray(f, dtype=complex)
+    k = np.arange(c.shape[1])
+    fwd, rev = c * e ** k, np.conj(c) * np.conj(e) ** k
+    f = np.zeros(2 * k.size + 1, dtype=complex)
+    f[:-2] = np.convolve(fwd[1], rev[2]) + np.convolve(fwd[0], rev[1])
+    f[1:-1] += e * (np.convolve(fwd[2], rev[2]) - np.convolve(fwd[0], rev[0]))
+    f[2:] -= e ** 2 * (np.convolve(rev[1], fwd[2]) + np.convolve(rev[0], fwd[1]))
+    return f
 
 
 def f_poly_roots(s: SymmetricState, w: float) -> tuple[float, ...]:
     """Nonnegative real t at which F(t e^{iw}) = 0, i.e. the moduli along the
     phase-w ray where the constructed success probability vanishes."""
-    f = _f_poly_coeffs(s, w)
+    f = _f_coeffs(_c_table(s), w)
     if np.abs(f).max() < 1e-12:
         raise IdenticallyZeroF(f"F vanishes identically at phase {w}")
     candidates = [np.zeros(0)]
@@ -128,7 +146,7 @@ def f_poly_roots(s: SymmetricState, w: float) -> tuple[float, ...]:
     t = np.sort(np.concatenate(candidates))
     scale = np.abs(f) @ np.maximum(t, 1.0) ** np.arange(f.size)[:, None]
     roots: list[float] = []
-    for ti in t[np.abs(npoly.polyval(t, f)) <= 1e-8 * scale]:
+    for ti in t[np.abs(_horner(f, t)) <= 1e-8 * scale]:
         if not roots or abs(ti - roots[-1]) >= 1e-8:
             roots.append(float(ti))
     return tuple(roots)
@@ -151,17 +169,18 @@ def _safe_div(num: complex, den: complex, what: str) -> complex:
     return num / den
 
 
-def _verified_p_success(s: SymmetricState, settings: MeasurementSettings,
+def _verified_p_success(c: np.ndarray, settings: MeasurementSettings,
                         eps_zero: float, delta_pos: float, what: str) -> float:
     """The success probability of settings whose parties 2..n share one ray
-    pair (a, b), read off psi12 = <a^(n-2)|psi> = (c0, c1, c1, c2); raises
-    NumericalFailure unless every zero cell is below eps_zero and the success
-    probability above delta_pos.  c_i = sum_k h_{k+i} C(n-2, k) a0*^(n-2-k)
+    pair (a, b), read off the c table c as psi12 = <a^(n-2)|psi> = (c0, c1, c1,
+    c2); raises NumericalFailure unless every zero cell is below eps_zero and
+    the success probability above delta_pos.  c_i = sum_k c[i, k] a0*^(n-2-k)
     a1*^k is homogeneous, so a ray at the pole (a0 = 0) needs no division."""
     a = settings.pairs[1][0]
-    c = [_overlap(_c_poly(s, i), a.c0.conjugate(), a.c1.conjugate()) for i in (0, 1, 1, 2)]
-    rest_norm = (abs(a.c0) ** 2 + abs(a.c1) ** 2) ** (s.n - 2)
-    cells = amplitude_table(np.array(c), settings.outcome_bras()[:2])[condition_cells(2)]
+    c0, c1, c2 = (_overlap(row, a.c0.conjugate(), a.c1.conjugate()) for row in c)
+    rest_norm = (abs(a.c0) ** 2 + abs(a.c1) ** 2) ** (c.shape[1] - 1)
+    bras = MeasurementSettings(2, settings.pairs[:2]).outcome_bras()
+    cells = amplitude_table(np.array([c0, c1, c1, c2]), bras)[condition_cells(2)]
     probs = np.abs(cells) ** 2 / rest_norm
     p_success, zero_max = float(probs[0]), float(probs[1:].max())
     if not (zero_max < eps_zero and p_success > delta_pos):
@@ -170,9 +189,9 @@ def _verified_p_success(s: SymmetricState, settings: MeasurementSettings,
     return p_success
 
 
-def _solve_at(s: SymmetricState, x: complex, deg, fr) -> SymmetricSolution:
-    """solve_settings at x, given the degeneracy and F roots along its phase."""
-    if s.n < 3:
+def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
+    """solve_settings at x, given the c table and the roots along x's phase."""
+    if c.shape[1] < 2:
         raise ValueError("symmetric solver requires at least 3 parties")
     for r in deg:
         if abs(x - r) < _EXCLUSION_MARGIN:
@@ -181,12 +200,13 @@ def _solve_at(s: SymmetricState, x: complex, deg, fr) -> SymmetricSolution:
         if abs(abs(x) - t) < _EXCLUSION_MARGIN:
             raise DegenerateX(
                 f"|x| = {abs(x)} is within {_EXCLUSION_MARGIN} of excluded modulus {t}")
-    c0, c1, c2 = (complex(npoly.polyval(x, _c_poly(s, i))) for i in range(3))
+    # row by row: a stacked pass uses array products, which move y in the last bit
+    c0, c1, c2 = (complex(_horner(row, x)) for row in c)
     y1 = _safe_div(-(c0 + x * c1), c1 + x * c2, "y1")
     y = _safe_div(np.conj(c2) - y1 * np.conj(c1), np.conj(c1) - y1 * np.conj(c0), "y")
     x1 = _safe_div(-(c0 + y * c1), c1 + y * c2, "x1")
-    settings = MeasurementSettings.from_shared_params(s.n, x1, y1, x, y)
-    p_success = _verified_p_success(s, settings, 1e-10, 0.0, "assembled settings")
+    settings = MeasurementSettings.from_shared_params(c.shape[1] + 1, x1, y1, x, y)
+    p_success = _verified_p_success(c, settings, 1e-10, 0.0, "assembled settings")
     return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1), settings,
                              p_success, tuple(sorted({abs(r) for r in deg} | set(fr))))
 
@@ -197,7 +217,7 @@ def solve_settings(s: SymmetricState, x: complex) -> SymmetricSolution:
     The assembled rays are |a_1> = |0> + x1*|1>, |b_1> = |0> + y1*|1>, and
     |a_k> = |0> + x*|1>, |b_k> = |0> + y*|1> on every other party.
     """
-    return _solve_at(s, x, *_roots_along(s, cmath.phase(x)))
+    return _solve_at(_c_table(s), x, *_roots_along(s, cmath.phase(x)))
 
 
 def _roots_along(s: SymmetricState, w: float):
@@ -210,14 +230,15 @@ def _roots_along(s: SymmetricState, w: float):
 
 def sweep_settings(s: SymmetricState, w: float, moduli):
     """(t, solve_settings(s, t e^{iw})) for each modulus t that the settings
-    exist at, with the roots along phase w computed once."""
+    exist at, with the roots along phase w and the c table computed once."""
     try:
         roots = _roots_along(s, w)
     except DegenerateX:
         return
+    c = _c_table(s)
     for t in moduli:
         try:
-            sol = _solve_at(s, t * cmath.exp(1j * w), *roots)
+            sol = _solve_at(c, t * cmath.exp(1j * w), *roots)
         except (DegenerateX, SingularDenominator):
             continue
         yield t, sol
@@ -282,7 +303,7 @@ def solve_auto(s: SymmetricState) -> SymmetricSolution:
         raise NotEntangled("state is a symmetric product state") from exc
     fr = f_poly_roots(sm, w)
     t = _pick_modulus({abs(r) for r in deg} | set(fr))
-    sol = _solve_at(sm, t * cmath.exp(1j * w), deg, fr)
+    sol = _solve_at(_c_table(sm), t * cmath.exp(1j * w), deg, fr)
     settings = sol.settings.transformed(u.conj().T)
-    p = _verified_p_success(s, settings, 1e-8, 1e-10, "rotated-back settings")
+    p = _verified_p_success(_c_table(s), settings, 1e-8, 1e-10, "rotated-back settings")
     return replace(sol, settings=settings, p_success=p)

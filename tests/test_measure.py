@@ -7,7 +7,7 @@ from nonloc import (DensityMatrix, DimensionMismatch, JointDistribution,
                     MeasurementSettings, PureState, Ray, SymmetricState,
                     amplitude_table, born_distribution, dicke_expand,
                     ns_residual)
-from conftest import random_settings
+from conftest import random_ray, random_settings
 
 GHZ3 = dicke_expand(SymmetricState.ghz(3, np.pi / 4))
 PLUS = Ray(1.0, 1.0)
@@ -207,3 +207,19 @@ def test_transformed_settings_track_rotated_state(rng):
     a = born_distribution(psi, s)
     b = born_distribution(rotated, s.transformed(u))
     assert np.allclose(a.p, b.p, atol=1e-12)
+
+
+def test_transformed_maps_each_shared_pair_once(rng):
+    # each ray becomes u @ (c0, c1); parties 2..n keep sharing one pair of
+    # Ray objects, as from_shared_params and solve_auto's settings have them
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    first, rest = (random_ray(rng), random_ray(rng)), (random_ray(rng), random_ray(rng))
+    s = MeasurementSettings(5, (first,) + (rest,) * 4)
+    moved = s.transformed(u)
+    for pair, new in zip(s.pairs, moved.pairs):
+        for ray, image in zip(pair, new):
+            assert (image.c0, image.c1) == tuple(u @ np.array([ray.c0, ray.c1]))
+    assert all(new[0] is moved.pairs[1][0] and new[1] is moved.pairs[1][1]
+               for new in moved.pairs[2:])
+    assert moved.pairs[0][0] is not moved.pairs[1][0]

@@ -173,7 +173,7 @@ def test_newton_step_matches_lstsq():
 
 
 def test_cached_bloch_grid_is_read_only():
-    for arr in qstate._bloch_grid():
+    for arr in qstate._bloch_grid(5):
         assert not arr.flags.writeable
 
 
@@ -204,6 +204,30 @@ def test_grid_starts_match_full_sort(n, monkeypatch):
         starts.clear()
         closest_product_state(s)
         assert starts == expected
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_separable_grid_ranks_like_the_horner_sum(n):
+    # the leading _REFINE_STARTS cells of the overlaps rounded to 12 digits,
+    # from the separable product and from _overlap's Horner sum on the same
+    # grid; W and Dicke states tie along each ring of maxima, and the cells
+    # phi and 2 pi - phi of a state with real coefficients tie exactly
+    t, phi, cos_pow, phases = qstate._bloch_grid(n)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    c, sig = np.cos(tt / 2), np.sin(tt / 2) * np.exp(-1j * pp)
+    rng = np.random.default_rng(90 + n)
+    states = [random_symmetric(n, rng, entangled=False) for _ in range(20)]
+    states += [SymmetricState.ghz(n, theta) for theta in np.linspace(0.1, 1.5, 8)]
+    states += [SymmetricState.w(n)] + [SymmetricState(n, row) for row in np.eye(n + 1)]
+    states += [SymmetricState(n, rng.standard_normal(n + 1)) for _ in range(5)]
+    for s in states:
+        coeffs = [complex(s.h[k]) * math.comb(n, k) for k in range(n + 1)]
+        separable = np.abs((cos_pow * coeffs) @ phases)
+        starts = [np.argsort(-np.round(v, 12), axis=None, kind="stable")[:qstate._REFINE_STARTS]
+                  for v in (np.abs(qstate._overlap(coeffs, c, sig)), separable)]
+        assert (starts[0] == starts[1]).all()
+        if not s.h.imag.any():
+            assert (separable[:, 1:] == separable[:, :0:-1]).all()
 
 
 def test_closest_product_overlap_phased_real():

@@ -12,7 +12,10 @@ from nonloc import (DegenerateX, IdenticallyZeroPolynomial, MeasurementSettings,
                     degenerate_x_roots, dicke_expand, f_poly_roots, ghz_closed_form,
                     hardy_conditions, phase_pick, solve_auto, solve_settings,
                     to_magic_basis, w_closed_form)
-from nonloc.symmetric import _c_poly, _verified_p_success, sweep_settings
+from nonloc import symmetric
+from nonloc.symmetric import (_c_table, _companion_roots, _degeneracy_coeffs, _f_coeffs,
+                              _horner, _polished_roots, _verified_p_success,
+                              sweep_settings)
 from conftest import random_ray, random_symmetric
 
 GHZ34 = SymmetricState.ghz(3, np.pi / 4)
@@ -20,7 +23,7 @@ W3 = SymmetricState.w(3)
 
 
 def _c_at(s, x):
-    return [npoly.polyval(x, _c_poly(s, i)) for i in range(3)]
+    return [npoly.polyval(x, row) for row in _c_table(s)]
 
 
 def test_c_coeffs_ghz():
@@ -35,6 +38,90 @@ def test_c_coeffs_w():
     assert abs(c0 - 1 / math.sqrt(3)) < 1e-12
     assert abs(c1 - 1 / math.sqrt(3)) < 1e-12
     assert abs(c2) < 1e-12
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_horner_matches_polyval_bitwise(rng):
+    # stacked rows at an array of points, single complex and real rows at a
+    # scalar and at real and complex points: polyval's operations, bit for bit
+    for d in range(1, 16):
+        c = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        t = np.abs(rng.standard_normal(5))
+        x = complex(*rng.standard_normal(2))
+        assert _bits(_horner(c, z)) == _bits(npoly.polyval(z, c.T))
+        for row in (c[0], c[1].real):
+            for at in (x, t, z):
+                assert _bits(_horner(row, at)) == _bits(npoly.polyval(at, row))
+
+
+def test_polish_takes_polyvals_newton_steps(rng):
+    # p and p' in one stacked Horner pass give the Newton steps of polyval on
+    # p and on polyder(p), bit for bit, from the same companion roots
+    for d in range(2, 15):
+        for p in (rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1),
+                  rng.standard_normal(d + 1)):
+            roots = _companion_roots(p)
+            for _ in range(2):
+                num, den = npoly.polyval(roots, p), npoly.polyval(roots, npoly.polyder(p))
+                safe = np.abs(den) > 1e-300
+                roots = np.where(safe, roots - num / np.where(safe, den, 1.0), roots)
+            assert _bits(_polished_roots(p)) == _bits(roots)
+
+
+def _npoly_degeneracy(c):
+    return npoly.polysub(npoly.polymul(c[1], c[1]), npoly.polymul(c[0], c[2]))
+
+
+def _npoly_f(c, w):
+    e = cmath.exp(1j * w)
+    fwd = [row * e ** np.arange(row.size) for row in c]
+    rev = [np.conj(row) * np.conj(e) ** np.arange(row.size) for row in c]
+    f = npoly.polyadd(npoly.polymul(fwd[1], rev[2]), npoly.polymul(fwd[0], rev[1]))
+    lin = npoly.polysub(npoly.polymul(fwd[2], rev[2]), npoly.polymul(fwd[0], rev[0]))
+    f = npoly.polyadd(f, e * npoly.polymulx(lin))
+    quad = npoly.polyadd(npoly.polymul(rev[1], fwd[2]), npoly.polymul(rev[0], fwd[1]))
+    return npoly.polysub(f, e ** 2 * npoly.polymulx(npoly.polymulx(quad)))
+
+
+def test_degeneracy_and_f_coefficients_match_npoly(rng):
+    # bit for bit where no c row ends in an exact zero; polymul drops such
+    # zeros first, which can reorder np.convolve's sums, so there the two
+    # agree to rounding and the longer array ends in exact zeros
+    generic = [random_symmetric(n, rng) for n in range(3, 9) for _ in range(5)]
+    sparse = []
+    for n in range(3, 9):
+        sparse += [SymmetricState.w(n), SymmetricState.ghz(n, 0.7)]
+        sparse += [SymmetricState(n, row) for row in np.eye(n + 1)[1:-1]]
+        h = rng.standard_normal(n + 1)
+        h[rng.integers(n + 1)] = 0.0
+        sparse.append(SymmetricState(n, h))
+    for s in generic + sparse:
+        c = _c_table(s)
+        w = rng.uniform(0.0, 2 * np.pi)
+        for got, ref in ((_degeneracy_coeffs(c), _npoly_degeneracy(c)),
+                         (_f_coeffs(c, w), _npoly_f(c, w))):
+            if s in generic:
+                assert _bits(got) == _bits(ref)
+            else:
+                assert np.all(got[ref.size:] == 0)
+                assert np.abs(got[:ref.size] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_companion_roots_match_polyroots(rng):
+    # to 1e-12 relative, not bitwise: NumPy 1.x's polyroots rotates the
+    # companion matrix, 2.x does not, and the kernel keeps one layout
+    for d in range(1, 15):
+        for coeffs in (rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1),
+                       rng.standard_normal(d + 1)):
+            got, ref = _companion_roots(coeffs), npoly.polyroots(coeffs)
+            assert got.shape == ref.shape
+            for r in ref:
+                assert np.abs(got - r).min() <= 1e-12 * abs(r)
 
 
 def test_degenerate_roots_ghz():
@@ -186,6 +273,16 @@ def test_sweep_settings_matches_solve_settings(rng):
         assert len(got) < len(moduli) if s is GHZ34 else len(got) > 0
 
 
+def test_sweep_builds_one_c_table(monkeypatch):
+    # the degeneracy roots, the F roots and the sweep's own solves each build
+    # the table once, however many moduli the sweep tries
+    calls = []
+    table = symmetric._c_table
+    monkeypatch.setattr(symmetric, "_c_table", lambda s: calls.append(s) or table(s))
+    got = list(sweep_settings(GHZ34, np.pi / 2, np.arange(0.05, 3.0, 0.025)))
+    assert len(got) > 100 and len(calls) == 3
+
+
 def test_sweep_settings_is_empty_where_f_vanishes_identically():
     # (|000> + |D_2>) / sqrt(2) has F = 0 along phase pi / 2: every x there fails
     s = SymmetricState(3, np.array([1, 0, 1, 0]) / math.sqrt(2))
@@ -251,7 +348,7 @@ def test_solve_auto_w_end_to_end():
 
 def _reduced_check_passes(s, settings, eps_zero, delta_pos):
     try:
-        _verified_p_success(s, settings, eps_zero, delta_pos, "settings")
+        _verified_p_success(_c_table(s), settings, eps_zero, delta_pos, "settings")
     except NumericalFailure:
         return False
     return True
@@ -264,7 +361,7 @@ def _matches_dense_oracle(s, settings, eps_zero, delta_pos):
     the verdict at the given bounds, which is returned."""
     dense = hardy_conditions(born_distribution(dicke_expand(s), settings),
                              eps_zero=eps_zero, delta_pos=delta_pos)
-    p = _verified_p_success(s, settings, math.inf, -math.inf, "settings")
+    p = _verified_p_success(_c_table(s), settings, math.inf, -math.inf, "settings")
     assert abs(p - dense.p_success) <= 1e-12 * dense.p_success
     zero = max(dense.zero_residuals)
     assert _reduced_check_passes(s, settings, zero + 1e-14, -math.inf)
