@@ -1,11 +1,14 @@
 """Dense phase-1 simplex for small feasibility systems A x = b, x >= 0.
 
-The full tableau is updated in place by rank-1 pivots.  The entering column
-has the most negative reduced cost (Dantzig); after a streak of degenerate
-pivots it is the smallest eligible index (Bland) until a pivot makes progress,
-which prevents cycling.  The leaving row has the smallest ratio, ties to the
-smallest basis index.  On infeasibility the dual vector at the phase-1 optimum
-is a Farkas certificate: y.A <= 0 on every column while y.b is the optimum.
+The full tableau is updated in place by rank-1 pivots.  Only the columns of A
+are priced: an artificial that leaves the basis is never priced again, and one
+still basic sits in its own row.  The entering column has the most negative
+reduced cost (Dantzig); after a streak of degenerate pivots it is the smallest
+eligible index (Bland) until a pivot makes progress, which prevents cycling.
+The leaving row has the smallest ratio, ties to the smallest basis index.  On
+infeasibility the dual vector at the phase-1 optimum is a Farkas certificate:
+no reduced cost of A is negative, so y.A <= 0 on every column while y.b is the
+optimum.
 
 A solve can resume an earlier one for the same b over more columns: the old
 columns lead, the new ones are priced from the final tableau, whose
@@ -100,9 +103,10 @@ def phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9,
         t, basis, sign = _resumed_tableau(a, start)
         pivots = start.pivots
 
+    costs, rhs = t[m, :num], t[:m, -1]
+    ratios = np.empty(m)
     streak = 0
-    while True:
-        costs = t[m, :num + m]
+    while num:   # with no columns there is nothing to price
         # Dantzig's most negative cost, or Bland's first negative one
         j = int(costs.argmin() if streak < _DEGENERATE_STREAK else (costs < -tol).argmax())
         if costs[j] >= -tol:
@@ -110,13 +114,16 @@ def phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9,
         if pivots >= max_pivots:
             raise NumericalFailure(f"simplex exceeded {max_pivots} pivots")
         col = t[:m, j]
-        rows = (col > tol).nonzero()[0]
-        if rows.size == 0:
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=col > tol)
+        i = int(ratios.argmin())
+        low = ratios[i]
+        if low == np.inf:
             raise NumericalFailure("phase-1 column unbounded; tableau inconsistent")
-        ratios = t[rows, -1] / col[rows]
-        low = ratios.min()
-        tied = rows[ratios <= low + 1e-12]
-        i = tied[basis[tied].argmin()]
+        tied = ratios <= low + 1e-12
+        if np.count_nonzero(tied) > 1:
+            rows = tied.nonzero()[0]
+            i = int(rows[basis[rows].argmin()])
         streak = streak + 1 if low <= 1e-12 else 0
         row = t[i] / t[i, j]
         t -= t[:, j, None] * row

@@ -60,7 +60,8 @@ def _horner(c: np.ndarray, x):
     c = c.T[(...,) + (None,) * np.ndim(x)]
     out = c[-1] + x * 0
     for a in c[-2::-1]:
-        out = a + out * x
+        out *= x
+        out += a
     return out
 
 
@@ -81,13 +82,18 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots with two Newton correction steps each."""
+    """Companion-matrix roots with up to two Newton correction steps each; a
+    step is kept only where it strictly lowers |p|, so a root the companion
+    matrix already has to rounding (a double root, say) stays put."""
     roots = _companion_roots(coeffs)
     p_dp = np.stack([coeffs, np.append(np.arange(1, coeffs.size) * coeffs[1:], 0)])
+    vals = _horner(p_dp, roots)
     for _ in range(2):
-        num, den = _horner(p_dp, roots)
-        safe = np.abs(den) > 1e-300
-        roots = np.where(safe, roots - num / np.where(safe, den, 1.0), roots)
+        safe = np.abs(vals[1]) > 1e-300
+        moved = np.where(safe, roots - vals[0] / np.where(safe, vals[1], 1.0), roots)
+        moved_vals = _horner(p_dp, moved)
+        keep = np.abs(moved_vals[0]) < np.abs(vals[0])
+        roots, vals = np.where(keep, moved, roots), np.where(keep, moved_vals, vals)
     return roots
 
 
@@ -208,7 +214,18 @@ def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
     settings = MeasurementSettings.from_shared_params(c.shape[1] + 1, x1, y1, x, y)
     p_success = _verified_p_success(c, settings, 1e-10, 0.0, "assembled settings")
     return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1), settings,
-                             p_success, tuple(sorted({abs(r) for r in deg} | set(fr))))
+                             p_success, _merged_moduli([abs(r) for r in deg] + list(fr)))
+
+
+def _merged_moduli(moduli) -> tuple[float, ...]:
+    """The moduli in ascending order, less each t within 1e-12 max(1, t) of the
+    one kept before it: a conjugate pair of roots gives one modulus, not two
+    an ulp apart."""
+    kept: list[float] = []
+    for t in sorted(moduli):
+        if not kept or t - kept[-1] > 1e-12 * max(1.0, t):
+            kept.append(t)
+    return tuple(kept)
 
 
 def solve_settings(s: SymmetricState, x: complex) -> SymmetricSolution:

@@ -479,3 +479,66 @@ def test_resume_from_another_b_is_refused():
         simplex.phase1_simplex(a, b + 1e-3, start=start)
     with pytest.raises(ValueError):
         simplex.phase1_simplex(a[:, :3], b, start=start)
+
+
+def _assert_phase1_invariants(res: simplex.Phase1Result, a: np.ndarray, b: np.ndarray):
+    """Each artificial left in the final basis sits in its own row, and an
+    infeasible verdict's own y is a Farkas vector: y.A <= 0 on every column
+    while y.b is the positive phase-1 objective."""
+    num = a.shape[1]
+    rows = np.flatnonzero(res.basis >= num)
+    assert np.array_equal(res.basis[rows], num + rows)
+    if not res.feasible:
+        assert (res.y @ a).max() <= 1e-9
+        assert res.objective > 0 and abs(res.y @ b - res.objective) <= 1e-9
+
+
+def _classify_systems(rng):
+    """The bilocal LP of classify, (A, b, local columns), on the two Hardy
+    tables, random Born tables and criterion 6's mixtures."""
+    _, cols, local = polytope._lp_columns(bilocal_ns_vertices())
+    cg = polytope._ns_maps(3)[0]
+    tables = [_hardy_table(s) for s in (SymmetricState.ghz(3, np.pi / 4), SymmetricState.w(3))]
+    for _ in range(12):
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        tables.append(born_distribution(PureState(3, v), random_settings(3, rng)))
+    tables += list(_criterion_6_mixtures(12))
+    return [(cols, cg @ d.p.reshape(-1), local) for d in tables]
+
+
+@pytest.mark.parametrize("streak", (simplex._DEGENERATE_STREAK, 0))
+def test_phase1_keeps_artificials_in_their_rows_and_certifies_with_its_own_y(
+        monkeypatch, streak):
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", streak)
+    rng = np.random.default_rng(1313)
+    systems = [(*_random_system(rng, 6, 14, feasible), 5)
+               for feasible in (True, False) for _ in range(10)]
+    verdicts = set()
+    for a, b, lead in systems + _classify_systems(rng):
+        first = simplex.phase1_simplex(a[:, :lead], b)
+        _assert_phase1_invariants(first, a[:, :lead], b)
+        for res in (simplex.phase1_simplex(a, b, start=first), simplex.phase1_simplex(a, b)):
+            _assert_phase1_invariants(res, a, b)
+            verdicts.add((first.feasible, res.feasible))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 256))
+def test_membership_agrees_with_highs_at_four_parties(seed, size):
+    rng = np.random.default_rng(seed)
+    vs = deterministic_local_vertices(4)
+    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    chosen = rng.choice(len(vs.columns), size=size, replace=False)
+    mixture = np.einsum("c,csr->sr", rng.dirichlet(np.ones(size)), vs.columns[chosen])
+    born = born_distribution(PureState(4, v), random_settings(4, rng))
+    lam = rng.random()   # the Born table pulled toward the mixture, across the boundary
+    for d in (born, JointDistribution(4, mixture),
+              JointDistribution(4, lam * born.p + (1 - lam) * mixture)):
+        out = lp_membership(d, vs)
+        assert out.feasible == _highs_feasible(d, vs)
+        if out.feasible:
+            recon = np.einsum("c,csr->sr", out.weights, vs.columns)
+            assert np.abs(recon - d.p).max() <= 1e-9
+        else:
+            _assert_certifies(vs, d, out)

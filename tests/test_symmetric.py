@@ -59,18 +59,34 @@ def test_horner_matches_polyval_bitwise(rng):
                 assert _bits(_horner(row, at)) == _bits(npoly.polyval(at, row))
 
 
-def test_polish_takes_polyvals_newton_steps(rng):
-    # p and p' in one stacked Horner pass give the Newton steps of polyval on
-    # p and on polyder(p), bit for bit, from the same companion roots
+def test_polish_keeps_polyvals_newton_steps_that_lower_p(rng):
+    # each root takes polyval's Newton steps on p and polyder(p), bit for bit,
+    # from the same companion root, for as long as each step strictly lowers |p|
+    taken = np.zeros(3, dtype=int)
     for d in range(2, 15):
         for p in (rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1),
                   rng.standard_normal(d + 1)):
-            roots = _companion_roots(p)
+            chain = [_companion_roots(p)]
             for _ in range(2):
-                num, den = npoly.polyval(roots, p), npoly.polyval(roots, npoly.polyder(p))
+                num, den = npoly.polyval(chain[-1], p), npoly.polyval(chain[-1], npoly.polyder(p))
                 safe = np.abs(den) > 1e-300
-                roots = np.where(safe, roots - num / np.where(safe, den, 1.0), roots)
-            assert _bits(_polished_roots(p)) == _bits(roots)
+                chain.append(np.where(safe, chain[-1] - num / np.where(safe, den, 1.0), chain[-1]))
+            size = [np.abs(npoly.polyval(roots, p)) for roots in chain]
+            kept = (size[1] < size[0]) * (1 + (size[2] < size[1]))
+            got = _polished_roots(p)
+            for k in range(got.size):
+                assert _bits(got[k]) == _bits(chain[kept[k]][k])
+            assert (np.abs(npoly.polyval(got, p)) <= size[0]).all()
+            taken += np.bincount(kept, minlength=3)
+    assert taken.min() > 0    # roots left alone, stepped once and stepped twice
+
+
+def test_polish_keeps_a_double_root():
+    # a phased W_3: its degeneracy polynomial has an exact double root, which
+    # unconditional Newton steps threw off to |p| ~ 1e-2
+    s = SymmetricState(3, [0, 0.415954592009539 + 0.4003936946550373j, 0, 0])
+    sol = solve_auto(s)
+    assert sol.p_success > 1e-3
 
 
 def _npoly_degeneracy(c):
@@ -214,15 +230,40 @@ def test_excluded_moduli_recorded():
     assert any(abs(t - 1.0) < 1e-8 for t in sol.excluded_x)
 
 
+def _assert_records_each_root_once(s) -> int:
+    """excluded_x lists the |degeneracy roots| and the F roots along the
+    picked phase, in the magic basis where solve_auto solves, each modulus
+    once; returns how many near-duplicates of the raw union it merged."""
+    got = solve_auto(s).excluded_x
+    sm, _ = to_magic_basis(s)
+    union = {abs(r) for r in degenerate_x_roots(sm)} | set(f_poly_roots(sm, phase_pick(sm)))
+    assert set(got) <= union
+    assert all(min(abs(t - g) for g in got) <= 1e-12 * max(1.0, t) for t in union)
+    assert all(b - a > 1e-12 * max(1.0, b) for a, b in zip(got, got[1:])), got
+    return len(union) - len(got)
+
+
 def test_solve_auto_records_the_roots_at_its_phase(rng):
-    # excluded_x is the union of |degeneracy roots| and the F roots along the
-    # picked phase, in the magic basis where solve_auto solves
     states = [random_symmetric(n, rng) for n in range(3, 9)]
     states += [SymmetricState.w(5), SymmetricState.ghz(4, 0.6)]
     for s in states:
-        sm, _ = to_magic_basis(s)
-        expected = {abs(r) for r in degenerate_x_roots(sm)} | set(f_poly_roots(sm, phase_pick(sm)))
-        assert solve_auto(s).excluded_x == tuple(sorted(expected))
+        _assert_records_each_root_once(s)
+
+
+def test_excluded_moduli_are_listed_once():
+    # a conjugate pair of degeneracy roots, or one of them and an F root, can
+    # give one modulus twice an ulp apart
+    rng = np.random.default_rng(1213)
+    merged = 0
+    for trial in range(90):
+        n = 3 + trial % 6
+        h = rng.standard_normal(n + 1)
+        if trial % 3 == 0:
+            h[rng.integers(n + 1)] = 0.0
+        elif trial % 3 == 2:
+            h = h + 1j * rng.standard_normal(n + 1)
+        merged += _assert_records_each_root_once(SymmetricState(n, h))
+    assert merged > 0
 
 
 def test_ghz_south_pole_leaves_no_noise_roots():
