@@ -10,8 +10,7 @@ settings on arbitrary states.
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateSettings, DegenerateX, DimensionMismatch,
-                     IdenticallyZeroF, IdenticallyZeroPolynomial, NonlocError,
+from .errors import (DegenerateSettings, DegenerateX, DimensionMismatch, NonlocError,
                      NotEntangled, NumericalFailure, OptimizerDidNotConverge,
                      SignalingDistribution, SingularDenominator)
 from .hardy import (HardyReport, HardySubspace, condition_cells,
@@ -22,9 +21,8 @@ from .measure import (JointDistribution, MeasurementSettings, Ray,
 from .polytope import (LPOutcome, ModelVertexSet, bilocal_ns_vertices, classify,
                        deterministic_local_vertices, lp_membership,
                        ns_bipartite_vertices)
-from .qstate import (Bipartition, DensityMatrix, PureState, SymmetricState,
-                     closest_product_state, dicke_expand,
-                     genuine_entanglement_check, haar_random_pure,
+from .qstate import (DensityMatrix, PureState, SymmetricState, closest_product_state,
+                     dicke_expand, genuine_entanglement_check, haar_random_pure,
                      to_magic_basis)
 from .search import (ExperimentRecord, ExperimentSummary, NoSettingsFound,
                      SearchConfig, find_settings, random_experiment)
@@ -35,10 +33,9 @@ from .symmetric import (SymmetricSolution, degenerate_x_roots, f_poly_roots,
 __all__ = [
     "__version__",
     "NonlocError", "DimensionMismatch", "SignalingDistribution",
-    "OptimizerDidNotConverge", "DegenerateSettings",
-    "IdenticallyZeroPolynomial", "IdenticallyZeroF",
-    "DegenerateX", "SingularDenominator", "NotEntangled", "NumericalFailure",
-    "PureState", "DensityMatrix", "SymmetricState", "Bipartition",
+    "OptimizerDidNotConverge", "DegenerateSettings", "DegenerateX",
+    "SingularDenominator", "NotEntangled", "NumericalFailure",
+    "PureState", "DensityMatrix", "SymmetricState",
     "dicke_expand", "closest_product_state", "to_magic_basis",
     "haar_random_pure", "genuine_entanglement_check",
     "Ray", "MeasurementSettings", "JointDistribution", "amplitude_table",

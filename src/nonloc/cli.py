@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .errors import (DegenerateX, DimensionMismatch, IdenticallyZeroF,
-                     IdenticallyZeroPolynomial, NonlocError, NotEntangled,
+from .errors import (DegenerateX, DimensionMismatch, NonlocError, NotEntangled,
                      SignalingDistribution, SingularDenominator)
 from .hardy import hardy_conditions, inequality1, inequality2
 from .measure import JointDistribution, born_distribution
@@ -124,10 +123,10 @@ def cmd_symmetric(args) -> int:
             sol = solve_settings(s, args.x)
         else:
             sol = solve_auto(s)
-    except (DegenerateX, IdenticallyZeroF) as exc:
+    except DegenerateX as exc:
         print(f"excluded x: {exc}", file=sys.stderr)
         return 1
-    except (NotEntangled, IdenticallyZeroPolynomial, SingularDenominator) as exc:
+    except (NotEntangled, SingularDenominator) as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
     manifest = fileio.make_manifest("symmetric", params, None, inputs)

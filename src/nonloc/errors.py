@@ -21,16 +21,9 @@ class DegenerateSettings(NonlocError):
     """Measurement rays admit no unique passing state with nonzero success amplitude."""
 
 
-class IdenticallyZeroPolynomial(NonlocError):
-    """The degeneracy polynomial vanishes identically (product state)."""
-
-
-class IdenticallyZeroF(NonlocError):
-    """The success-probability polynomial vanishes identically at the chosen phase."""
-
-
 class DegenerateX(NonlocError):
-    """The requested setting parameter sits on (or too near) an excluded value."""
+    """The requested setting parameter sits on (or too near) an excluded value,
+    or the success probability vanishes identically along its phase."""
 
 
 class SingularDenominator(NonlocError):

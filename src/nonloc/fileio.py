@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .measure import JointDistribution, MeasurementSettings, Ray
 from .polytope import LPOutcome, ModelVertexSet
 from .qstate import PureState, SymmetricState
-from .search import ExperimentSummary
+from .search import ExperimentRecord, ExperimentSummary
 from .symmetric import SymmetricSolution
 
 
@@ -86,10 +87,6 @@ def state_payload(psi: PureState) -> dict:
     return {"n": psi.n, "amplitudes": [_pair(z) for z in psi.amplitudes]}
 
 
-def symmetric_payload(s: SymmetricState) -> dict:
-    return {"n": s.n, "h": [_pair(z) for z in s.h]}
-
-
 def settings_payload(m: MeasurementSettings) -> dict:
     return {"n": m.n,
             "parties": [{"a": [_pair(a.c0), _pair(a.c1)],
@@ -132,31 +129,21 @@ def vertex_set_payload(vs: ModelVertexSet) -> dict:
 
 
 def summary_payload(s: ExperimentSummary) -> dict:
-    return {"n": s.n, "count": s.count, "seed": s.seed,
-            "passed": s.passed, "failed": s.failed,
-            "records": [{"index": r.index, "sub_seed": r.sub_seed,
-                         "passed": r.passed, "p_success": r.p_success,
-                         "max_residual": r.max_residual,
-                         "starts": r.starts, "fevals": r.fevals,
-                         "lp_checked": r.lp_checked,
-                         "lp_infeasible": r.lp_infeasible}
-                        for r in s.records]}
+    return {**asdict(s), "records": [asdict(r) for r in s.records]}
 
 
-EXPERIMENT_CSV_FIELDS = ("index", "sub_seed", "passed", "p_success",
-                         "max_residual", "starts", "fevals", "lp_checked",
-                         "lp_infeasible")
+EXPERIMENT_CSV_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
+
+
+def _csv_value(v):
+    """A record field as the CSV holds it: bools in lower case, floats to 17 digits."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    return f"{v:.17g}" if isinstance(v, float) else v
 
 
 def experiment_rows(s: ExperimentSummary) -> list[dict]:
-    return [{"index": r.index, "sub_seed": r.sub_seed,
-             "passed": str(r.passed).lower(),
-             "p_success": f"{r.p_success:.17g}",
-             "max_residual": f"{r.max_residual:.17g}",
-             "starts": r.starts, "fevals": r.fevals,
-             "lp_checked": str(r.lp_checked).lower(),
-             "lp_infeasible": str(r.lp_infeasible).lower()}
-            for r in s.records]
+    return [{k: _csv_value(v) for k, v in asdict(r).items()} for r in s.records]
 
 
 def _digest(data: bytes) -> str:

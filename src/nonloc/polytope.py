@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure, SignalingDistribution
 from .measure import JointDistribution, ns_residual
 from .qstate import _frozen
-from .simplex import Phase1Result, phase1_simplex
+from .simplex import TOL, Phase1Result, phase1_simplex
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +115,8 @@ def deterministic_local_vertices(n: int) -> ModelVertexSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _bilocal_vertex_set() -> ModelVertexSet:
+def bilocal_ns_vertices() -> ModelVertexSet:
+    """All 288 columns of the three-party bilocal non-signaling model."""
     singles = _single_party_deterministic()
     pair_boxes = ns_bipartite_vertices()
     cols = []
@@ -128,11 +129,6 @@ def _bilocal_vertex_set() -> ModelVertexSet:
                 tags.append((lone,))
     columns = _frozen(np.stack(cols).reshape(len(cols), 8, 8))
     return ModelVertexSet("bilocal-ns", 3, columns, tuple(tags))
-
-
-def bilocal_ns_vertices() -> ModelVertexSet:
-    """All 288 columns of the three-party bilocal non-signaling model."""
-    return _bilocal_vertex_set()
 
 
 def _table_order(m: np.ndarray, n: int) -> np.ndarray:
@@ -174,7 +170,7 @@ def _lp_columns(vs: ModelVertexSet) -> tuple[np.ndarray, np.ndarray, int]:
     return (_frozen(order), _frozen(_ns_maps(vs.n)[0] @ flat[order].T), len(local))
 
 
-def lp_membership(d: JointDistribution, vs: ModelVertexSet, tol: float = 1e-9,
+def lp_membership(d: JointDistribution, vs: ModelVertexSet,
                   start: LPOutcome | None = None) -> LPOutcome:
     """Decide membership of a table in the model polytope, by an LP in
     Collins-Gisin coordinates.
@@ -187,7 +183,7 @@ def lp_membership(d: JointDistribution, vs: ModelVertexSet, tol: float = 1e-9,
     Feasible outcomes carry weights reproducing the table to 1e-9, on the
     first of equal columns; infeasible ones a certificate table, rescaled to
     unit max entry and re-validated against every column.  It is the table's
-    part off the non-signaling span when that has 1-norm above tol, else the
+    part off the non-signaling span when that has 1-norm above 1e-9, else the
     Farkas vector lifted into the span.
     """
     if d.n != vs.n:
@@ -196,17 +192,17 @@ def lp_membership(d: JointDistribution, vs: ModelVertexSet, tol: float = 1e-9,
         raise SignalingDistribution("membership tested on a signaling table")
     (cg, proj), p = _ns_maps(d.n), d.p.reshape(-1)
     off = p - proj @ p
-    if np.abs(off).sum() > tol:
+    if np.abs(off).sum() > TOL:
         # projected once more: rounding in proj @ p would swamp so small a part
         return _certified(d, vs, off - proj @ off, None)
     order, cols, local = _lp_columns(vs)
     b = cg @ p
     prior = None if start is None else start.lp
     if prior is None and local < len(order):
-        prior = phase1_simplex(cols[:, :local], b, tol=tol)
+        prior = phase1_simplex(cols[:, :local], b)
     if prior is not None and prior.columns != local:
         raise ValueError(f"start covers {prior.columns} columns, not the {local} local ones")
-    res = phase1_simplex(cols, b, tol=tol, start=prior)
+    res = phase1_simplex(cols, b, start=prior)
     if res.feasible:
         w = np.zeros(len(vs.columns))
         w[order] = np.maximum(res.x, 0.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,43 +125,6 @@ class SymmetricState:
         h = np.zeros(n + 1, dtype=complex)
         h[1] = 1.0 / math.sqrt(n)
         return cls(n, h)
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """One unordered cut of parties {1..n}, stored by its canonical side.
-
-    The canonical side is the smaller one; at equal sizes the side whose
-    sorted tuple is lexicographically smaller (it contains party 1).
-    """
-
-    alpha: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        _check_n(self.n)
-        side = tuple(sorted(set(self.alpha)))
-        if not side or len(side) >= self.n:
-            raise ValueError("bipartition side must be a proper nonempty subset")
-        if side[0] < 1 or side[-1] > self.n:
-            raise ValueError(f"party labels must lie in 1..{self.n}")
-        other = tuple(p for p in range(1, self.n + 1) if p not in side)
-        if len(other) < len(side) or (len(other) == len(side) and other < side):
-            side = other
-        object.__setattr__(self, "alpha", side)
-
-    def complement(self) -> tuple[int, ...]:
-        return tuple(p for p in range(1, self.n + 1) if p not in self.alpha)
-
-    @classmethod
-    def all(cls, n: int) -> tuple["Bipartition", ...]:
-        """Every unordered bipartition of n parties (2^(n-1) - 1 of them)."""
-        seen: dict[tuple[int, ...], Bipartition] = {}
-        for mask in range(1, 2 ** n - 1):
-            parties = tuple(k for k in range(1, n + 1) if mask & (1 << (n - k)))
-            cut = cls(parties, n)
-            seen.setdefault(cut.alpha, cut)
-        return tuple(seen.values())
 
 
 def dicke_expand(s: SymmetricState) -> PureState:
@@ -334,7 +298,9 @@ def genuine_entanglement_check(psi: PureState | SymmetricState, eps: float) -> b
     cut exceeds eps.  A symmetric state gives the same Schmidt coefficients
     on every cut with k parties on one side, so only the cuts {1..k} | rest
     for k = 1..n//2 are checked, each in the Dicke bases of its two sides:
-    there the coefficient matrix is h[i + j] sqrt(C(k, i) C(n - k, j)).
+    there the coefficient matrix is h[i + j] sqrt(C(k, i) C(n - k, j)).  A
+    dense state lists each cut once by its smaller side, at equal sizes the
+    side that holds party 1.
     """
     if isinstance(psi, SymmetricState):
         n = psi.n
@@ -342,9 +308,8 @@ def genuine_entanglement_check(psi: PureState | SymmetricState, eps: float) -> b
                            for j in range(n - k + 1)] for i in range(k + 1)])
                 for k in range(1, n // 2 + 1)]
     else:
-        t = psi.tensor()
-        mats = []
-        for cut in Bipartition.all(psi.n):
-            axes = [p - 1 for p in cut.alpha] + [p - 1 for p in cut.complement()]
-            mats.append(t.transpose(axes).reshape(2 ** len(cut.alpha), -1))
+        n, t = psi.n, psi.tensor()
+        mats = [np.moveaxis(t, side, range(k)).reshape(2 ** k, -1)
+                for k in range(1, n // 2 + 1) for side in itertools.combinations(range(n), k)
+                if 2 * k < n or 0 in side]
     return all(np.linalg.svd(m, compute_uv=False)[1] > eps for m in mats)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .hardy import _check_tolerances, hardy_conditions
+from .hardy import hardy_conditions
 from .measure import MeasurementSettings, Ray, _contract_parties, born_distribution
 from .polytope import bilocal_ns_vertices, lp_membership
 from .qstate import (MAX_PARTIES, PureState, genuine_entanglement_check,
@@ -32,18 +33,19 @@ FIT_TOL = 1e-10
 class SearchConfig:
     """Knobs of the multistart search; defaults are sized for n = 3 and 4.
     max_iters caps each start's fit at that many residual evaluations, not
-    counting the finite-difference ones."""
+    counting the finite-difference ones.  A start passes when its zero cells
+    weigh less than eps_zero and its success probability exceeds delta_pos;
+    these two are fixed class constants, not constructor fields."""
 
+    eps_zero: ClassVar[float] = 1e-10
+    delta_pos: ClassVar[float] = 1e-4
     multistarts: int = 32
     max_iters: int = 2000
-    eps_zero: float = 1e-10
-    delta_pos: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         if self.multistarts < 1 or self.max_iters < 1:
             raise ValueError("multistarts and max_iters must be at least 1")
-        _check_tolerances(self.eps_zero, self.delta_pos)
 
 
 @dataclass(frozen=True)

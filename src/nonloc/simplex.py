@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 
+TOL = 1e-9               # pivot, pricing and feasibility tolerance
+_MAX_PIVOTS = 200_000    # a solve that needs more is reported as a failure
 _DEGENERATE_STREAK = 50  # degenerate Dantzig pivots before Bland's rule takes over
 
 
@@ -81,8 +83,7 @@ def _resumed_tableau(a: np.ndarray, start: Phase1Result):
     return t, basis, sign
 
 
-def phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9,
-                   max_pivots: int = 200_000,
+def phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray,
                    start: Phase1Result | None = None) -> Phase1Result:
     """Find x >= 0 with A x = b, or a Farkas certificate that none exists.
 
@@ -108,14 +109,14 @@ def phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9,
     streak = 0
     while num:   # with no columns there is nothing to price
         # Dantzig's most negative cost, or Bland's first negative one
-        j = int(costs.argmin() if streak < _DEGENERATE_STREAK else (costs < -tol).argmax())
-        if costs[j] >= -tol:
+        j = int(costs.argmin() if streak < _DEGENERATE_STREAK else (costs < -TOL).argmax())
+        if costs[j] >= -TOL:
             break
-        if pivots >= max_pivots:
-            raise NumericalFailure(f"simplex exceeded {max_pivots} pivots")
+        if pivots >= _MAX_PIVOTS:
+            raise NumericalFailure(f"simplex exceeded {_MAX_PIVOTS} pivots")
         col = t[:m, j]
         ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=col > tol)
+        np.divide(rhs, col, out=ratios, where=col > TOL)
         i = int(ratios.argmin())
         low = ratios[i]
         if low == np.inf:
@@ -135,7 +136,7 @@ def phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9,
     for arr in state:
         arr.setflags(write=False)
     objective = -t[m, -1]
-    if objective <= tol:
+    if objective <= TOL:
         full = np.zeros(num + m)
         full[basis] = t[:m, -1]
         return Phase1Result(True, full[:num], None, objective, pivots, *state)

@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DegenerateX, IdenticallyZeroF, IdenticallyZeroPolynomial,
-                     NotEntangled, NumericalFailure, SingularDenominator)
+from .errors import DegenerateX, NotEntangled, NumericalFailure, SingularDenominator
 from .measure import MeasurementSettings, amplitude_table
 from .hardy import condition_cells
 from .qstate import SymmetricState, _overlap, genuine_entanglement_check, to_magic_basis
@@ -103,20 +102,19 @@ def _degeneracy_coeffs(c: np.ndarray) -> np.ndarray:
 
 
 def degenerate_x_roots(s: SymmetricState) -> tuple[complex, ...]:
-    """Roots of c1^2 - c0*c2, where the reduced two-qubit state degenerates."""
-    c = _c_table(s)
-    p = _trim(_degeneracy_coeffs(c))
+    """Roots of c1^2 - c0*c2, where the reduced two-qubit state degenerates,
+    in ascending modulus.  Raises NotEntangled when the polynomial vanishes
+    identically (a symmetric product state), and NumericalFailure for a root
+    whose backward error |p(r)| exceeds 1e-12 sum_k |p_k| |r|^k."""
+    p = _trim(_degeneracy_coeffs(_c_table(s)))
     if p.size == 0:
-        raise IdenticallyZeroPolynomial("c1^2 - c0*c2 vanishes identically")
+        raise NotEntangled("state is a symmetric product state")
     if p.size == 1:
         return ()
     roots = _polished_roots(p)
-    c0, c1, c2 = _horner(c, roots)
-    sv = np.linalg.svd(np.stack([c0, c1, c1, c2], axis=-1).reshape(-1, 2, 2),
-                       compute_uv=False)
-    bad = np.flatnonzero(sv[:, 1] >= 1e-8 * np.maximum(1.0, sv[:, 0]))
+    bad = np.flatnonzero(np.abs(_horner(p, roots)) > 1e-12 * _horner(np.abs(p), np.abs(roots)))
     if bad.size:
-        raise NumericalFailure(f"degeneracy root {roots[bad[0]]} fails the rank-1 check")
+        raise NumericalFailure(f"degeneracy root {roots[bad[0]]} fails the backward-error check")
     order = np.argsort(np.abs(roots), kind="stable")
     return tuple(complex(r) for r in roots[order])
 
@@ -139,10 +137,11 @@ def _f_coeffs(c: np.ndarray, w: float) -> np.ndarray:
 
 def f_poly_roots(s: SymmetricState, w: float) -> tuple[float, ...]:
     """Nonnegative real t at which F(t e^{iw}) = 0, i.e. the moduli along the
-    phase-w ray where the constructed success probability vanishes."""
+    phase-w ray where the constructed success probability vanishes.  Raises
+    DegenerateX when F vanishes identically along that ray."""
     f = _f_coeffs(_c_table(s), w)
     if np.abs(f).max() < 1e-12:
-        raise IdenticallyZeroF(f"F vanishes identically at phase {w}")
+        raise DegenerateX(f"success probability vanishes identically along phase {w}")
     candidates = [np.zeros(0)]
     for part in (_trim(f.real.copy()), _trim(f.imag.copy())):
         if part.size > 1:
@@ -234,28 +233,20 @@ def solve_settings(s: SymmetricState, x: complex) -> SymmetricSolution:
     The assembled rays are |a_1> = |0> + x1*|1>, |b_1> = |0> + y1*|1>, and
     |a_k> = |0> + x*|1>, |b_k> = |0> + y*|1> on every other party.
     """
-    return _solve_at(_c_table(s), x, *_roots_along(s, cmath.phase(x)))
-
-
-def _roots_along(s: SymmetricState, w: float):
-    """The degeneracy roots and the F roots along phase w."""
-    try:
-        return degenerate_x_roots(s), f_poly_roots(s, w)
-    except IdenticallyZeroF as exc:
-        raise DegenerateX(f"success probability vanishes identically along phase {w}") from exc
+    return _solve_at(_c_table(s), x, degenerate_x_roots(s), f_poly_roots(s, cmath.phase(x)))
 
 
 def sweep_settings(s: SymmetricState, w: float, moduli):
     """(t, solve_settings(s, t e^{iw})) for each modulus t that the settings
     exist at, with the roots along phase w and the c table computed once."""
     try:
-        roots = _roots_along(s, w)
+        deg, fr = degenerate_x_roots(s), f_poly_roots(s, w)
     except DegenerateX:
         return
     c = _c_table(s)
     for t in moduli:
         try:
-            sol = _solve_at(c, t * cmath.exp(1j * w), *roots)
+            sol = _solve_at(c, t * cmath.exp(1j * w), deg, fr)
         except (DegenerateX, SingularDenominator):
             continue
         yield t, sol
@@ -314,10 +305,7 @@ def solve_auto(s: SymmetricState) -> SymmetricSolution:
         raise NotEntangled("state is within eps of a product across some cut")
     sm, u = to_magic_basis(s)
     w = phase_pick(sm)
-    try:
-        deg = degenerate_x_roots(sm)
-    except IdenticallyZeroPolynomial as exc:
-        raise NotEntangled("state is a symmetric product state") from exc
+    deg = degenerate_x_roots(sm)
     fr = f_poly_roots(sm, w)
     t = _pick_modulus({abs(r) for r in deg} | set(fr))
     sol = _solve_at(_c_table(sm), t * cmath.exp(1j * w), deg, fr)

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nonloc import (JointDistribution, SymmetricState,
-                    deterministic_local_vertices, dicke_expand, fileio)
+from nonloc import (ExperimentRecord, ExperimentSummary, JointDistribution,
+                    SymmetricState, deterministic_local_vertices, dicke_expand, fileio)
 from nonloc.cli import main
 from nonloc.measure import MeasurementSettings, Ray
 
@@ -122,6 +122,27 @@ def test_symmetric_excluded_x(capsys):
     assert "excluded x" in capsys.readouterr().err
 
 
+def _symmetric_file(tmp_path, h):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n": len(h) - 1, "h": [[v, 0.0] for v in h]}))
+    return str(path)
+
+
+def test_symmetric_product_state_has_no_solution(tmp_path, capsys):
+    state = _symmetric_file(tmp_path, [1.0, 0.5, 0.25, 0.125])
+    assert main(["symmetric", state, "--x", "1,0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "no solution" in out.err
+
+
+def test_symmetric_x_on_a_phase_where_f_vanishes_is_excluded(tmp_path, capsys):
+    # (|000> + |D_2>) / sqrt(2) has F = 0 along phase pi / 2
+    state = _symmetric_file(tmp_path, [2 ** -0.5, 0.0, 2 ** -0.5, 0.0])
+    assert main(["symmetric", state, "--x", "0,1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "excluded x" in out.err
+
+
 def test_symmetric_ghz_needs_a_whole_party_count(capsys):
     assert main(["symmetric", "--ghz", "3.5", "0.7"]) == 2
     out = capsys.readouterr()
@@ -208,6 +229,35 @@ def test_json_dumps_refuse_non_finite():
         fileio.dump_json({"p_success": float("nan")})
     with pytest.raises(ValueError):
         fileio.dump_json({"ok": 1}, {"tol": float("inf")})
+
+
+def test_experiment_serialization_golden():
+    records = (ExperimentRecord(0, 2 ** 63 + 5, True, 0.1, 3.5e-12,
+                                1, 125, True, True),
+               ExperimentRecord(1, 7, False, 0.0, float("inf"), 32, 4000, False, False))
+    summary = ExperimentSummary(3, 2, 9, 1, 1, records)
+    assert fileio.EXPERIMENT_CSV_FIELDS == (
+        "index", "sub_seed", "passed", "p_success", "max_residual", "starts",
+        "fevals", "lp_checked", "lp_infeasible")
+    assert fileio.experiment_rows(summary) == [
+        {"index": 0, "sub_seed": 9223372036854775813, "passed": "true",
+         "p_success": "0.10000000000000001", "max_residual": "3.5e-12",
+         "starts": 1, "fevals": 125, "lp_checked": "true", "lp_infeasible": "true"},
+        {"index": 1, "sub_seed": 7, "passed": "false", "p_success": "0",
+         "max_residual": "inf", "starts": 32, "fevals": 4000, "lp_checked": "false",
+         "lp_infeasible": "false"}]
+    payload = fileio.summary_payload(summary)
+    assert payload == {
+        "n": 3, "count": 2, "seed": 9, "passed": 1, "failed": 1,
+        "records": [
+            {"index": 0, "sub_seed": 9223372036854775813, "passed": True,
+             "p_success": 0.1, "max_residual": 3.5e-12, "starts": 1,
+             "fevals": 125, "lp_checked": True, "lp_infeasible": True},
+            {"index": 1, "sub_seed": 7, "passed": False, "p_success": 0.0,
+             "max_residual": float("inf"), "starts": 32, "fevals": 4000,
+             "lp_checked": False, "lp_infeasible": False}]}
+    assert list(payload) == ["n", "count", "seed", "passed", "failed", "records"]
+    assert [list(r) for r in payload["records"]] == [list(fileio.EXPERIMENT_CSV_FIELDS)] * 2
 
 
 def test_experiment_reruns_are_byte_identical(tmp_path, capsys):

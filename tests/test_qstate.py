@@ -6,10 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonloc import (Bipartition, DensityMatrix, OptimizerDidNotConverge,
-                    PureState, SymmetricState, closest_product_state,
-                    dicke_expand, genuine_entanglement_check, haar_random_pure,
-                    to_magic_basis)
+from nonloc import (DensityMatrix, OptimizerDidNotConverge, PureState,
+                    SymmetricState, closest_product_state, dicke_expand,
+                    genuine_entanglement_check, haar_random_pure, to_magic_basis)
 from nonloc import qstate
 from nonloc.qstate import _newton_step
 from conftest import random_symmetric
@@ -81,27 +80,6 @@ def test_dicke_expand_is_normalized():
         s = random_symmetric(n, rng, entangled=False)
         psi = dicke_expand(s)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-
-
-def test_bipartition_canonical_side():
-    cut = Bipartition((2, 3), 3)
-    assert cut.alpha == (1,)
-    assert cut.complement() == (2, 3)
-    assert Bipartition((3,), 3).alpha == (3,)
-
-
-def test_bipartition_counts():
-    assert len(Bipartition.all(3)) == 3
-    assert len(Bipartition.all(4)) == 7
-
-
-def test_bipartition_rejects_improper_sides():
-    with pytest.raises(ValueError):
-        Bipartition((), 3)
-    with pytest.raises(ValueError):
-        Bipartition((1, 2, 3), 3)
-    with pytest.raises(ValueError):
-        Bipartition((4,), 3)
 
 
 def test_closest_product_ghz_small_angle():
@@ -314,15 +292,34 @@ def test_entanglement_check_cases():
     assert not genuine_entanglement_check(PureState(3, bell_and_spectator), 1e-4)
 
 
+def second_schmidt(psi, side):
+    """Second Schmidt coefficient of psi across the cut side | rest, side a
+    tuple of 0-based parties."""
+    m = np.moveaxis(psi.tensor(), side, range(len(side))).reshape(2 ** len(side), -1)
+    return np.linalg.svd(m, compute_uv=False)[1]
+
+
+def proper_subsets(n):
+    """All 2^n - 2 nonempty proper subsets of the parties, so every cut twice."""
+    return [tuple(p for p in range(n) if mask >> p & 1) for mask in range(1, 2 ** n - 1)]
+
+
 def second_schmidt_min(psi):
-    """Smallest second Schmidt coefficient of psi over all 2^(n-1) - 1 cuts."""
-    t = psi.tensor()
-    worst = np.inf
-    for cut in Bipartition.all(psi.n):
-        axes = [p - 1 for p in cut.alpha] + [p - 1 for p in cut.complement()]
-        m = t.transpose(axes).reshape(2 ** len(cut.alpha), -1)
-        worst = min(worst, np.linalg.svd(m, compute_uv=False)[1])
-    return worst
+    """Smallest second Schmidt coefficient of psi over every cut."""
+    return min(second_schmidt(psi, side) for side in proper_subsets(psi.n))
+
+
+@pytest.mark.parametrize("pairs", (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))))
+def test_entanglement_check_fails_on_two_bell_pairs(pairs):
+    # entangled across every 1|3 cut and two of the three 2|2 cuts; only the
+    # cut between the two pairs is a product
+    letters = "abcd"
+    spec = ",".join(letters[p] + letters[q] for p, q in pairs) + "->abcd"
+    psi = PureState(4, np.einsum(spec, np.eye(2), np.eye(2)))
+    for side in proper_subsets(4):
+        split = side in pairs or tuple(p for p in range(4) if p not in side) in pairs
+        assert (second_schmidt(psi, side) < 1e-12) == split
+    assert not genuine_entanglement_check(psi, 1e-4)
 
 
 def assert_symmetric_check_agrees(s, eps):

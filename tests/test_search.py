@@ -92,8 +92,8 @@ def test_search_config_rejects_empty_searches():
 @pytest.mark.parametrize("tolerances", ({"eps_zero": 0.0}, {"eps_zero": float("nan")},
                                         {"delta_pos": -1.0}, {"delta_pos": float("inf")}))
 def test_search_config_rejects_tolerances_it_cannot_honour(tolerances):
-    # with eps_zero = 0 no start could pass, and every start would still run
-    with pytest.raises(ValueError):
+    # eps_zero and delta_pos are class constants, not constructor fields
+    with pytest.raises(TypeError):
         SearchConfig(**tolerances)
 
 

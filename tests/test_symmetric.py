@@ -6,8 +6,8 @@ import pytest
 
 from numpy.polynomial import polynomial as npoly
 
-from nonloc import (DegenerateX, IdenticallyZeroPolynomial, MeasurementSettings,
-                    NotEntangled, NumericalFailure, Ray, SingularDenominator,
+from nonloc import (DegenerateX, MeasurementSettings, NotEntangled,
+                    NumericalFailure, Ray, SingularDenominator,
                     SymmetricState, born_distribution, closest_product_state,
                     degenerate_x_roots, dicke_expand, f_poly_roots, ghz_closed_form,
                     hardy_conditions, phase_pick, solve_auto, solve_settings,
@@ -162,13 +162,39 @@ def test_degenerate_root_of_large_modulus_is_accepted():
     assert report.passed
 
 
+@pytest.mark.parametrize("s", (
+    SymmetricState(5, [1, 0.008160489840026413 - 0.011034952712731853j, 0, 0, 0, 0]),
+    SymmetricState(6, [0, 0, 0, 0, 0, 0.009183827099692274 + 0.01457214949847441j, 1]),
+    SymmetricState(8, [-30.9987781119591 - 9.274651811667862j, 1, 0, 0, 0, 0, 0, 0, 0])))
+def test_degenerate_roots_pass_the_backward_error_check(s):
+    # in the magic basis each has a degeneracy root of modulus 19 to 46 that an
+    # absolute rank-1 threshold rejected, though its backward error is at rounding
+    sol = solve_auto(s)
+    assert _matches_dense_oracle(s, sol.settings, 1e-8, 1e-10)
+
+
+def test_degenerate_roots_make_the_reduced_state_rank_one(rng):
+    # the rank-1 form the backward-error check stands in for, where it is well scaled
+    checked = 0
+    for n in range(3, 9):
+        for _ in range(5):
+            s = random_symmetric(n, rng)
+            for r in degenerate_x_roots(s):
+                if abs(r) <= 2:
+                    c0, c1, c2 = _c_at(s, r)
+                    sv = np.linalg.svd([[c0, c1], [c1, c2]], compute_uv=False)
+                    assert sv[1] <= 1e-10 * sv[0]
+                    checked += 1
+    assert checked >= 30
+
+
 def test_degenerate_roots_w_empty():
     assert degenerate_x_roots(W3) == ()
 
 
 def test_degenerate_roots_product_state_raises():
     h = np.array([1.0, 0.5, 0.25, 0.125])
-    with pytest.raises(IdenticallyZeroPolynomial):
+    with pytest.raises(NotEntangled):
         degenerate_x_roots(SymmetricState(3, h))
 
 
