@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "one automatically")
     p.add_argument("--out", help="write the solution here instead of stdout")
     p.add_argument("--sweep", metavar="CSV",
-                   help="also write success probability over a modulus grid")
+                   help="also write success probability over a modulus grid along "
+                        "--x's phase, else phase_pick's in the state's own frame")
     p.set_defaults(func=cmd_symmetric)
 
     p = sub.add_parser("classify",

@@ -120,18 +120,19 @@ def _contract_parties(x: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
 
 
 def _table(x: np.ndarray, n: int) -> np.ndarray:
-    """Reorder n axes of size 4, indexed 2 s_k + r_k, to a 2^n x 2^n table
-    t[s][r], with party 1 in the most significant bit of s and of r."""
-    x = x.reshape((2,) * (2 * n))
-    x = x.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return x.reshape(2 ** n, 2 ** n)
+    """Reorder the last axis of x, 4^n entries with one digit pair (s_k, r_k)
+    per party, party 1 first, to a 2^n x 2^n table t[s][r], with party 1 in
+    the most significant bit of s and of r; leading axes are kept."""
+    lead = x.shape[:-1]
+    axes = [*range(len(lead)), *(len(lead) + np.r_[0:2 * n:2, 1:2 * n:2])]
+    return x.reshape(lead + (2,) * (2 * n)).transpose(axes).reshape(lead + (2 ** n, 2 ** n))
 
 
 def amplitude_table(amplitudes: np.ndarray, bras) -> np.ndarray:
     """A[s][r] = <cell ket|psi> for a raw (unnormalized) amplitude vector and
     each party's 4 x 2 stack of outcome bras, indexed (setting bit, outcome
     bit).  The Born table of a unit vector is |A|^2."""
-    return _table(_contract_parties(amplitudes, bras), len(bras))
+    return _table(_contract_parties(amplitudes, bras).reshape(-1), len(bras))
 
 
 def born_distribution(state, settings: MeasurementSettings) -> JointDistribution:
@@ -154,7 +155,7 @@ def born_distribution(state, settings: MeasurementSettings) -> JointDistribution
         rho = rho.transpose([a for k in range(n) for a in (k, n + k)])
         projectors = [np.einsum("xi,xj->xij", b, b.conj()).reshape(4, 4)
                       for b in bras]
-        p = _table(_contract_parties(rho, projectors).real, n)
+        p = _table(_contract_parties(rho, projectors).real.reshape(-1), n)
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     return JointDistribution(n, p)

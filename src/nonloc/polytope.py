@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SignalingDistribution
-from .measure import JointDistribution, ns_residual
+from .measure import JointDistribution, _table, ns_residual
 from .qstate import _frozen
 from .simplex import TOL, Phase1Result, phase1_simplex
 
@@ -131,14 +131,6 @@ def bilocal_ns_vertices() -> ModelVertexSet:
     return ModelVertexSet("bilocal-ns", 3, columns, tuple(tags))
 
 
-def _table_order(m: np.ndarray, n: int) -> np.ndarray:
-    """Reorder the last axis of m from one (s_k, r_k) digit pair per party,
-    party 1 first, to the (s_1..s_n, r_1..r_n) layout of a flattened table."""
-    lead = m.shape[:-1]
-    axes = [*range(len(lead)), *(len(lead) + np.r_[0:2 * n:2, 1:2 * n:2])]
-    return m.reshape(lead + (2,) * (2 * n)).transpose(axes).reshape(lead + (4 ** n,))
-
-
 @functools.lru_cache(maxsize=None)
 def _ns_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (3^n, 4^n) Collins-Gisin map C and the orthogonal projector onto
@@ -150,7 +142,10 @@ def _ns_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     sig = np.array([1.0, 1.0, -1.0, -1.0])
     one = np.eye(4) - np.outer(sig, sig) / 4.0
     c, proj = (functools.reduce(np.kron, [m] * n) for m in (block, one))
-    return _frozen(_table_order(c, n)), _frozen(_table_order(_table_order(proj, n).T, n))
+    # C's columns and the projector's rows and columns go to the table layout
+    c = _table(c, n).reshape(3 ** n, 4 ** n)
+    proj = _table(_table(proj, n).reshape(4 ** n, 4 ** n).T, n).reshape(4 ** n, 4 ** n)
+    return _frozen(c), _frozen(proj)
 
 
 @functools.lru_cache(maxsize=8)

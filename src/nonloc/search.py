@@ -93,12 +93,8 @@ def _ray_from_angles(t: float, phi: float) -> np.ndarray:
     return np.array([math.cos(t / 2), math.sin(t / 2) * np.exp(1j * phi)])
 
 
-def _orth(v: np.ndarray) -> np.ndarray:
-    return np.array([-np.conj(v[1]), np.conj(v[0])])
-
-
 def _amplitudes(psi: np.ndarray, a):
-    """The test's amplitudes for unit a rays and b_k = orth(u_k), from one
+    """The test's amplitudes for unit a rays and b_k orthogonal to u_k, from one
     contraction of each party with the 3 x 2 stack [<a_k|; <0|; <1|].
 
     In the 3^n result T, u_k = <a_(not k)|psi> is the slice at 1..2 on party k
@@ -135,8 +131,9 @@ def find_settings(psi: PureState, cfg: SearchConfig):
 
 
 def _find_settings(psi: PureState, cfg: SearchConfig):
-    """find_settings, also returning the starts tried and the residual
-    evaluations made, finite-difference ones included."""
+    """find_settings, also returning the Born table and test report that
+    passed the settings (None, None for NoSettingsFound), the starts tried,
+    and the residual evaluations made, finite-difference ones included."""
     n = psi.n
     rng = np.random.default_rng(cfg.seed)
     fevals = 0
@@ -171,12 +168,14 @@ def _find_settings(psi: PureState, cfg: SearchConfig):
             best_residual, best_success = residual_weight, success
         if residual_weight < cfg.eps_zero and success > cfg.delta_pos:
             settings = MeasurementSettings(
-                n, tuple((Ray(*ak), Ray(*_orth(u))) for ak, u in zip(a, us)))
-            report = hardy_conditions(born_distribution(psi, settings), pivot=1,
-                                      eps_zero=cfg.eps_zero, delta_pos=cfg.delta_pos)
+                n, tuple((Ray(*ak), Ray(*u).orthogonal()) for ak, u in zip(a, us)))
+            d = born_distribution(psi, settings)
+            report = hardy_conditions(d, pivot=1, eps_zero=cfg.eps_zero,
+                                      delta_pos=cfg.delta_pos)
             if report.passed:
-                return settings, start, fevals
-    return NoSettingsFound(best_residual, float(best_success)), cfg.multistarts, fevals
+                return settings, d, report, start, fevals
+    return (NoSettingsFound(best_residual, float(best_success)), None, None,
+            cfg.multistarts, fevals)
 
 
 def _sub_seed(*entropy: int) -> int:
@@ -192,14 +191,11 @@ def _run_state(args) -> ExperimentRecord:
         if genuine_entanglement_check(psi, 1e-4):
             break
         attempt += 1
-    result, starts, fevals = _find_settings(
+    result, d, report, starts, fevals = _find_settings(
         psi, replace(cfg, seed=_sub_seed(seed, index, 1 << 20)))
-    if isinstance(result, NoSettingsFound):
+    if report is None:
         return ExperimentRecord(index, state_seed, False, result.best_success,
                                 result.best_residual, starts, fevals, False, False)
-    d = born_distribution(psi, result)
-    report = hardy_conditions(d, pivot=1, eps_zero=cfg.eps_zero,
-                              delta_pos=cfg.delta_pos)
     lp_infeasible = False
     if lp_check:
         lp_infeasible = not lp_membership(d, bilocal_ns_vertices()).feasible

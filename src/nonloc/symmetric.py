@@ -136,25 +136,21 @@ def _f_coeffs(c: np.ndarray, w: float) -> np.ndarray:
 
 
 def f_poly_roots(s: SymmetricState, w: float) -> tuple[float, ...]:
-    """Nonnegative real t at which F(t e^{iw}) = 0, i.e. the moduli along the
-    phase-w ray where the constructed success probability vanishes.  Raises
-    DegenerateX when F vanishes identically along that ray."""
+    """Ascending nonnegative t at which F(t e^{iw}) = 0: one companion solve on
+    F's complex coefficients, each near-real root t kept where |F(t)| <= 1e-8
+    sum_k |f_k| max(t, 1)^k, and a split multiple root listed once.  Raises
+    DegenerateX when F vanishes identically along the phase-w ray."""
     f = _f_coeffs(_c_table(s), w)
-    if np.abs(f).max() < 1e-12:
+    trimmed = _trim(f)
+    if trimmed.size == 0:
         raise DegenerateX(f"success probability vanishes identically along phase {w}")
-    candidates = [np.zeros(0)]
-    for part in (_trim(f.real.copy()), _trim(f.imag.copy())):
-        if part.size > 1:
-            r = _polished_roots(part)
-            keep = (np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real))) & (r.real >= -1e-10)
-            candidates.append(np.maximum(r.real[keep], 0.0))
-    t = np.sort(np.concatenate(candidates))
+    if trimmed.size == 1:
+        return ()
+    r = _polished_roots(trimmed)
+    t = np.maximum(r.real[(np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real)))
+                          & (r.real >= -1e-10)], 0.0)
     scale = np.abs(f) @ np.maximum(t, 1.0) ** np.arange(f.size)[:, None]
-    roots: list[float] = []
-    for ti in t[np.abs(_horner(f, t)) <= 1e-8 * scale]:
-        if not roots or abs(ti - roots[-1]) >= 1e-8:
-            roots.append(float(ti))
-    return tuple(roots)
+    return _merged_moduli(t[np.abs(_horner(f, t)) <= 1e-8 * scale].tolist(), 1e-8)
 
 
 def phase_pick(s: SymmetricState) -> float:
@@ -178,9 +174,9 @@ def _verified_p_success(c: np.ndarray, settings: MeasurementSettings,
                         eps_zero: float, delta_pos: float, what: str) -> float:
     """The success probability of settings whose parties 2..n share one ray
     pair (a, b), read off the c table c as psi12 = <a^(n-2)|psi> = (c0, c1, c1,
-    c2); raises NumericalFailure unless every zero cell is below eps_zero and
-    the success probability above delta_pos.  c_i = sum_k c[i, k] a0*^(n-2-k)
-    a1*^k is homogeneous, so a ray at the pole (a0 = 0) needs no division."""
+    c2); raises NumericalFailure unless every zero cell is below eps_zero, then
+    NotEntangled unless the success probability is above delta_pos.  c_i =
+    sum_k c[i, k] a0*^(n-2-k) a1*^k is homogeneous, so a pole ray needs no division."""
     a = settings.pairs[1][0]
     c0, c1, c2 = (_overlap(row, a.c0.conjugate(), a.c1.conjugate()) for row in c)
     rest_norm = (abs(a.c0) ** 2 + abs(a.c1) ** 2) ** (c.shape[1] - 1)
@@ -188,9 +184,12 @@ def _verified_p_success(c: np.ndarray, settings: MeasurementSettings,
     cells = amplitude_table(np.array([c0, c1, c1, c2]), bras)[condition_cells(2)]
     probs = np.abs(cells) ** 2 / rest_norm
     p_success, zero_max = float(probs[0]), float(probs[1:].max())
-    if not (zero_max < eps_zero and p_success > delta_pos):
+    if not zero_max < eps_zero:
         raise NumericalFailure(f"{what} fail verification "
                                f"(p = {p_success:.3e}, max residual {zero_max:.3e})")
+    if not p_success > delta_pos:
+        raise NotEntangled(f"{what} reach success probability {p_success:.3e}, "
+                           f"not above the floor {delta_pos:g}")
     return p_success
 
 
@@ -216,13 +215,13 @@ def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
                              p_success, _merged_moduli([abs(r) for r in deg] + list(fr)))
 
 
-def _merged_moduli(moduli) -> tuple[float, ...]:
-    """The moduli in ascending order, less each t within 1e-12 max(1, t) of the
-    one kept before it: a conjugate pair of roots gives one modulus, not two
-    an ulp apart."""
+def _merged_moduli(moduli, tol: float = 1e-12) -> tuple[float, ...]:
+    """The moduli in ascending order, less each t within tol max(1, t) of the
+    one kept before it: at the default, a conjugate pair of roots gives one
+    modulus, not two an ulp apart."""
     kept: list[float] = []
     for t in sorted(moduli):
-        if not kept or t - kept[-1] > 1e-12 * max(1.0, t):
+        if not kept or t - kept[-1] > tol * max(1.0, t):
             kept.append(t)
     return tuple(kept)
 
@@ -307,7 +306,7 @@ def solve_auto(s: SymmetricState) -> SymmetricSolution:
     w = phase_pick(sm)
     deg = degenerate_x_roots(sm)
     fr = f_poly_roots(sm, w)
-    t = _pick_modulus({abs(r) for r in deg} | set(fr))
+    t = _pick_modulus(_merged_moduli([abs(r) for r in deg] + list(fr)))
     sol = _solve_at(_c_table(sm), t * cmath.exp(1j * w), deg, fr)
     settings = sol.settings.transformed(u.conj().T)
     p = _verified_p_success(_c_table(s), settings, 1e-8, 1e-10, "rotated-back settings")

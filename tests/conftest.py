@@ -5,6 +5,16 @@ from nonloc import (MeasurementSettings, Ray, SymmetricState,
                     genuine_entanglement_check, solve_auto)
 
 
+# nearly-product two-term states (n, h_1, with h_0 = 1 and the rest 0) that pass
+# solve_auto's entanglement check, yet whose success probability along the
+# chosen ray stays near 1e-12, below the 1e-10 floor
+NEAR_PRODUCT = ((6, 0.00182 + 0.00042j), (8, -0.00200 - 0.00249j))
+
+
+def near_product(n: int, h1: complex) -> SymmetricState:
+    return SymmetricState(n, [1, h1] + [0] * (n - 1))
+
+
 def random_symmetric(n: int, rng: np.random.Generator,
                      entangled: bool = True) -> SymmetricState:
     """Random symmetric state; optionally redrawn until genuinely entangled."""

@@ -8,6 +8,7 @@ from nonloc import (ExperimentRecord, ExperimentSummary, JointDistribution,
                     SymmetricState, deterministic_local_vertices, dicke_expand, fileio)
 from nonloc.cli import main
 from nonloc.measure import MeasurementSettings, Ray
+from conftest import NEAR_PRODUCT
 
 
 @pytest.fixture
@@ -133,6 +134,16 @@ def test_symmetric_product_state_has_no_solution(tmp_path, capsys):
     assert main(["symmetric", state, "--x", "1,0"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "no solution" in out.err
+
+
+@pytest.mark.parametrize("n, h1", NEAR_PRODUCT)
+def test_symmetric_near_product_state_has_no_solution(tmp_path, capsys, n, h1):
+    state = tmp_path / "state.json"
+    h = [[1.0, 0.0], [h1.real, h1.imag]] + [[0.0, 0.0]] * (n - 1)
+    state.write_text(json.dumps({"n": n, "h": h}))
+    assert main(["symmetric", str(state)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "no solution" in out.err and "floor" in out.err
 
 
 def test_symmetric_x_on_a_phase_where_f_vanishes_is_excluded(tmp_path, capsys):

@@ -13,7 +13,7 @@ from nonloc import (MeasurementSettings, NoSettingsFound, PureState, Ray,
                     condition_cells, dicke_expand, find_settings,
                     hardy_conditions, random_experiment, solve_auto)
 from nonloc import search
-from nonloc.search import _amplitudes, _find_settings, _orth
+from nonloc.search import _amplitudes, _find_settings
 from conftest import random_symmetric
 
 CFG = SearchConfig()
@@ -26,13 +26,13 @@ def _unit(rng, dim):
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_cell_amplitudes_match_born_table(n, rng):
-    # b_k = orth(u_k), as the search sets them
+    # b_k orthogonal to u_k, as the search sets them
     for _ in range(5):
         psi = PureState(n, _unit(rng, 2 ** n))
         a = [_unit(rng, 2) for _ in range(n)]
         us, ov = _amplitudes(psi.amplitudes, a)
         settings = MeasurementSettings(
-            n, tuple((Ray(*ak), Ray(*_orth(u))) for ak, u in zip(a, us)))
+            n, tuple((Ray(*ak), Ray(*u).orthogonal()) for ak, u in zip(a, us)))
         p = born_distribution(psi, settings).p[condition_cells(n)]
         assert np.abs(np.abs(ov) ** 2 - p).max() < 1e-14
 
@@ -63,9 +63,11 @@ def test_find_settings_ghz():
 def test_ghz_pole_basin_passes_on_the_first_start():
     # a fit that settles in a zero-success basin at the poles wastes a start
     psi = dicke_expand(SymmetricState.ghz(3, np.pi / 3))
-    result, starts, fevals = _find_settings(psi, SearchConfig(seed=0))
+    result, d, report, starts, fevals = _find_settings(psi, SearchConfig(seed=0))
     assert isinstance(result, MeasurementSettings)
     assert starts == 1 and fevals > 0
+    # the table and report that gated the settings come back with them
+    assert np.array_equal(d.p, born_distribution(psi, result).p) and report.passed
 
 
 def test_find_settings_calls_the_module_least_squares(monkeypatch):

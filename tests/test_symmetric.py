@@ -16,7 +16,7 @@ from nonloc import symmetric
 from nonloc.symmetric import (_c_table, _companion_roots, _degeneracy_coeffs, _f_coeffs,
                               _horner, _polished_roots, _verified_p_success,
                               sweep_settings)
-from conftest import random_ray, random_symmetric
+from conftest import NEAR_PRODUCT, near_product, random_ray, random_symmetric
 
 GHZ34 = SymmetricState.ghz(3, np.pi / 4)
 W3 = SymmetricState.w(3)
@@ -202,6 +202,33 @@ def test_f_roots_ghz_vertical_phase():
     roots = f_poly_roots(GHZ34, np.pi / 2)
     assert any(abs(t - 1.0) < 1e-8 for t in roots)
     assert all(t >= 0 for t in roots)
+
+
+def test_f_roots_take_one_companion_solve(monkeypatch):
+    calls = []
+    polished = symmetric._polished_roots
+    monkeypatch.setattr(symmetric, "_polished_roots", lambda p: calls.append(p) or polished(p))
+    for s in (GHZ34, W3, SymmetricState.ghz(6, 0.4)):
+        calls.clear()
+        f_poly_roots(s, 0.3)
+        assert len(calls) == 1 and np.iscomplexobj(calls[0])
+
+
+def test_f_roots_list_each_multiple_root_once():
+    # F(t) = -t (t - 1)^2 (t + 1) (t + 2) / 4 along phase 0
+    roots = f_poly_roots(SymmetricState(4, [1, 0, 0, 0.5, 0]), 0.0)
+    assert len(roots) == 2 and roots[0] == 0.0 and abs(roots[1] - 1.0) <= 1e-8
+    # along phase pi / 2 F of a two-term state often has a multiple root at 0;
+    # its split copies must not be listed as roots of their own
+    rng = np.random.default_rng(0)
+    for n in range(5, 9):
+        for _ in range(75):
+            h = np.zeros(n + 1, dtype=complex)
+            i, j = rng.choice(n + 1, 2, replace=False)
+            h[i] = 1
+            h[j] = 10 ** rng.uniform(-3, 2) * cmath.exp(2j * math.pi * rng.uniform())
+            roots = f_poly_roots(SymmetricState(n, h), math.pi / 2)
+            assert not any(0 < t < 1e-6 for t in roots), (n, h, roots)
 
 
 def test_phase_pick_vertical_when_h2_vanishes():
@@ -416,7 +443,7 @@ def test_solve_auto_w_end_to_end():
 def _reduced_check_passes(s, settings, eps_zero, delta_pos):
     try:
         _verified_p_success(_c_table(s), settings, eps_zero, delta_pos, "settings")
-    except NumericalFailure:
+    except (NumericalFailure, NotEntangled):
         return False
     return True
 
@@ -466,6 +493,13 @@ def test_solve_auto_rejects_product_state():
     h = np.array([1.0, 0.5, 0.25, 0.125])
     with pytest.raises(NotEntangled):
         solve_auto(SymmetricState(3, h))
+
+
+@pytest.mark.parametrize("n, h1", NEAR_PRODUCT)
+def test_solve_auto_rejects_a_success_probability_below_its_floor(n, h1):
+    # the zero cells are clean; only the success probability is too small
+    with pytest.raises(NotEntangled, match="not above the floor 1e-10"):
+        solve_auto(near_product(n, h1))
 
 
 def test_solve_auto_rejects_two_parties():
