@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSettings, NumericalFailure
+from .errors import DegenerateSettings, DimensionMismatch, NumericalFailure
 from .measure import JointDistribution, MeasurementSettings, born_distribution
 from .qstate import DensityMatrix, PureState, _frozen
 
-_MIXED_TOL = 1e-8  # eigenvalue and fidelity tolerance of mixed_state_check
+_MIXED_TOL = 1e-8  # largest entry of rho on the constraint span that mixed_state_check accepts
 
 
 @dataclass(frozen=True)
@@ -114,37 +114,36 @@ def inequality2(d: JointDistribution) -> float:
 
 def _basis_columns(settings: MeasurementSettings) -> np.ndarray:
     """The 2n normalized product kets of the test cells of pivot 1, in the
-    order of `condition_cells`."""
+    order of `condition_cells`; party k's factor of cell (s, r) is its
+    conjugated outcome bra in row 2 s_k + r_k."""
     n = settings.n
-    kets = [b.conj() for b in settings.outcome_bras()]
-    cols = []
-    for s, r in zip(*condition_cells(n)):
-        col = np.ones(1)
-        for k in range(n):
-            shift = n - 1 - k
-            col = np.kron(col, kets[k][2 * (s >> shift & 1) + (r >> shift & 1)])
-        cols.append(col)
-    return np.column_stack(cols)
+    shift = np.arange(n - 1, -1, -1)[:, None]
+    s, r = (cell >> shift & 1 for cell in condition_cells(n))
+    cols, *rest = np.conj(settings.outcome_bras())[np.arange(n)[:, None], 2 * s + r]
+    for ket in rest:
+        cols = (cols[:, :, None] * ket[:, None, :]).reshape(2 * n, -1)
+    return cols.T
 
 
 def construct_hardy_state(settings: MeasurementSettings) -> HardySubspace:
     """Find the unique state in the settings' subspace that satisfies all
-    zero conditions with pivot 1 and keeps the success probability nonzero."""
+    zero conditions with pivot 1 and keeps the success probability nonzero.
+
+    With [constraints | success] = QR, phi is the last column of Q: the success
+    ket's part off the constraint span, with |<success|phi>| = |R[-1, -1]| no
+    less than R's smallest singular value.  R has the singular values of the
+    product kets, and R_C^H R[:-1] those of the constraint overlap C^H B, so
+    both degeneracy tests run on R."""
     basis = _basis_columns(settings)
-    sv = np.linalg.svd(basis, compute_uv=False)
+    q, r = np.linalg.qr(np.roll(basis, -1, axis=1))
+    sv = np.linalg.svd(r, compute_uv=False)
     if sv[-1] <= 1e-10:
         raise DegenerateSettings(
             f"product vectors nearly dependent (smallest singular value {sv[-1]:.3e})")
-    constraints = basis[:, 1:]
-    overlap = constraints.conj().T @ basis
-    _, s, vh = np.linalg.svd(overlap)
-    if (s < 1e-10).any():
+    if (np.linalg.svd(r[:-1, :-1].conj().T @ r[:-1], compute_uv=False) < 1e-10).any():
         raise DegenerateSettings(
             "constraint overlap matrix is rank deficient; orthogonal direction not unique")
-    z = vh[-1].conj()
-    phi = PureState(settings.n, basis @ z)
-    if abs(np.vdot(basis[:, 0], phi.amplitudes)) <= 1e-10:
-        raise DegenerateSettings("constructed state is orthogonal to the success vector")
+    phi = PureState(settings.n, q[:, -1])
     report = hardy_conditions(born_distribution(phi, settings), pivot=1,
                               eps_zero=1e-9, delta_pos=0.0)
     if not report.passed:
@@ -157,13 +156,9 @@ def construct_hardy_state(settings: MeasurementSettings) -> HardySubspace:
 def mixed_state_check(rho: DensityMatrix, sub: HardySubspace) -> bool:
     """Whether the projection of rho into the settings' subspace is proportional
     to |phi><phi|, the necessary and sufficient condition for a mixed state to
-    satisfy every zero condition of the test."""
-    q, _ = np.linalg.qr(sub.basis)
-    proj = q @ q.conj().T
-    inside = proj @ rho.entries @ proj
-    w, v = np.linalg.eigh(inside)
-    if w[-1] <= _MIXED_TOL:
-        return True
-    if w[-2] > _MIXED_TOL:
-        return False
-    return abs(np.vdot(sub.phi.amplitudes, v[:, -1])) ** 2 >= 1.0 - _MIXED_TOL
+    satisfy every zero condition of the test; for a positive rho that is
+    Q_C^H rho Q_C = 0 on the constraint span Q_C."""
+    if rho.n != sub.settings.n:
+        raise DimensionMismatch(f"state has {rho.n} parties, subspace {sub.settings.n}")
+    q, _ = np.linalg.qr(sub.basis[:, 1:])
+    return bool(np.abs(q.conj().T @ rho.entries @ q).max() <= _MIXED_TOL)

@@ -33,6 +33,7 @@ _EXCLUSION_MARGIN = 1e-6   # distance kept from each excluded root and modulus
 _MODULUS_MARGIN = 0.05     # distance solve_auto keeps from each excluded modulus
 _TRIM_TOL = 1e-12          # trailing coefficients below this are dropped
 _ENTANGLEMENT_EPS = 1e-8   # Schmidt threshold of solve_auto's entanglement check
+_ZERO_RATIO = 1e-12        # largest zero cell a verified solution keeps, relative to p
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +172,13 @@ def _safe_div(num: complex, den: complex, what: str) -> complex:
 
 
 def _verified_p_success(c: np.ndarray, settings: MeasurementSettings,
-                        eps_zero: float, delta_pos: float, what: str) -> float:
+                        delta_pos: float, what: str) -> float:
     """The success probability of settings whose parties 2..n share one ray
     pair (a, b), read off the c table c as psi12 = <a^(n-2)|psi> = (c0, c1, c1,
-    c2); raises NumericalFailure unless every zero cell is below eps_zero, then
-    NotEntangled unless the success probability is above delta_pos.  c_i =
-    sum_k c[i, k] a0*^(n-2-k) a1*^k is homogeneous, so a pole ray needs no division."""
+    c2); raises NumericalFailure unless every zero cell is below
+    _ZERO_RATIO max(p_success, delta_pos), then NotEntangled unless the success
+    probability is above delta_pos.  c_i = sum_k c[i, k] a0*^(n-2-k) a1*^k is
+    homogeneous, so a pole ray needs no division."""
     a = settings.pairs[1][0]
     c0, c1, c2 = (_overlap(row, a.c0.conjugate(), a.c1.conjugate()) for row in c)
     rest_norm = (abs(a.c0) ** 2 + abs(a.c1) ** 2) ** (c.shape[1] - 1)
@@ -184,7 +186,7 @@ def _verified_p_success(c: np.ndarray, settings: MeasurementSettings,
     cells = amplitude_table(np.array([c0, c1, c1, c2]), bras)[condition_cells(2)]
     probs = np.abs(cells) ** 2 / rest_norm
     p_success, zero_max = float(probs[0]), float(probs[1:].max())
-    if not zero_max < eps_zero:
+    if not zero_max < _ZERO_RATIO * max(p_success, delta_pos):
         raise NumericalFailure(f"{what} fail verification "
                                f"(p = {p_success:.3e}, max residual {zero_max:.3e})")
     if not p_success > delta_pos:
@@ -210,7 +212,7 @@ def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
     y = _safe_div(np.conj(c2) - y1 * np.conj(c1), np.conj(c1) - y1 * np.conj(c0), "y")
     x1 = _safe_div(-(c0 + y * c1), c1 + y * c2, "x1")
     settings = MeasurementSettings.from_shared_params(c.shape[1] + 1, x1, y1, x, y)
-    p_success = _verified_p_success(c, settings, 1e-10, 0.0, "assembled settings")
+    p_success = _verified_p_success(c, settings, 0.0, "assembled settings")
     return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1), settings,
                              p_success, _merged_moduli([abs(r) for r in deg] + list(fr)))
 
@@ -309,5 +311,5 @@ def solve_auto(s: SymmetricState) -> SymmetricSolution:
     t = _pick_modulus(_merged_moduli([abs(r) for r in deg] + list(fr)))
     sol = _solve_at(_c_table(sm), t * cmath.exp(1j * w), deg, fr)
     settings = sol.settings.transformed(u.conj().T)
-    p = _verified_p_success(_c_table(s), settings, 1e-8, 1e-10, "rotated-back settings")
+    p = _verified_p_success(_c_table(s), settings, 1e-10, "rotated-back settings")
     return replace(sol, settings=settings, p_success=p)

@@ -3,12 +3,15 @@ import cmath
 import numpy as np
 import pytest
 
-from nonloc import (DegenerateSettings, DensityMatrix, JointDistribution,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonloc import (DegenerateSettings, DensityMatrix, DimensionMismatch, JointDistribution,
                     MeasurementSettings, Ray, SymmetricState, born_distribution,
                     condition_cells, construct_hardy_state,
                     deterministic_local_vertices, dicke_expand, hardy_conditions, inequality1, inequality2,
                     mixed_state_check)
-from conftest import random_settings
+from conftest import random_ray, random_settings
 
 GHZ3 = dicke_expand(SymmetricState.ghz(3, np.pi / 4))
 # shared-parameter settings solving the test on GHZ(pi/4) at x = 2i
@@ -158,21 +161,46 @@ def test_pivot_choice_is_immaterial_for_symmetric_settings():
         assert len(verdicts) == 1
 
 
-def test_construct_matches_direct_null_space(rng):
-    settings = random_settings(2, rng)
-    sub = construct_hardy_state(settings)
-    # independent solve: the state orthogonal to the three constraint vectors
-    cols = []
-    a = [settings.pairs[k][0].ket() for k in (0, 1)]
-    b = [settings.pairs[k][1].ket() for k in (0, 1)]
-    bbar = [settings.pairs[k][1].orthogonal().ket() for k in (0, 1)]
-    cols.append(np.kron(b[0], a[1]))
-    cols.append(np.kron(a[0], b[1]))
-    cols.append(np.kron(bbar[0], bbar[1]))
-    _, _, vh = np.linalg.svd(np.array(cols).conj())
-    phi = vh[-1].conj()
-    overlap = abs(np.vdot(phi, sub.phi.amplitudes))
-    assert abs(overlap - 1.0) < 1e-10
+def _cell_kets(settings):
+    """The product kets of the test cells, one np.kron chain per cell: party k
+    contributes the ket of its ray for setting bit s_k, or of the orthogonal
+    ray for outcome bit 1."""
+    n, cols = settings.n, []
+    for s, r in zip(*condition_cells(n)):
+        col = np.ones(1)
+        for k in range(n):
+            ray = settings.pairs[k][s >> (n - 1 - k) & 1]
+            col = np.kron(col, (ray.orthogonal() if r >> (n - 1 - k) & 1 else ray).ket())
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.sampled_from((0.0, 1e-3, 1e-5, 1e-7)))
+def test_construct_matches_direct_null_space(seed, n, eps):
+    # with eps > 0 each b_k is a_k moved by eps, so the settings are near degenerate;
+    # the reference rejects them when the product kets B or the constraint
+    # overlap C^H B has a singular value below 1e-10
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        a = random_ray(rng)
+        b = random_ray(rng) if eps == 0.0 else Ray(*(a.ket() + eps * random_ray(rng).ket()))
+        pairs.append((a, b))
+    m = MeasurementSettings(n, tuple(pairs))
+    basis = _cell_kets(m)
+    constraints = basis[:, 1:]
+    degenerate = (np.linalg.svd(basis, compute_uv=False)[-1] <= 1e-10
+                  or (np.linalg.svd(constraints.conj().T @ basis, compute_uv=False) < 1e-10).any())
+    if degenerate:
+        with pytest.raises(DegenerateSettings):
+            construct_hardy_state(m)
+        return
+    sub = construct_hardy_state(m)
+    assert np.allclose(np.abs(np.sum(basis.conj() * sub.basis, axis=0)), 1.0, atol=1e-12)
+    success = basis[:, 0]
+    phi = success - constraints @ np.linalg.lstsq(constraints, success, rcond=None)[0]
+    assert 1.0 - abs(np.vdot(phi / np.linalg.norm(phi), sub.phi.amplitudes)) <= 1e-9
 
 
 def test_construct_output_passes_conditions(rng):
@@ -222,15 +250,31 @@ def test_mixed_state_check_rejects_maximally_mixed():
 
 
 def test_mixed_state_check_agrees_with_conditions(rng):
-    # states that fail the projector criterion show a nonzero condition when
-    # measured; states that satisfy it do not
+    # phi mixed with a ket outside the subspace (none exists at n = 2, where
+    # the 2n kets span the space), a constraint ket, or white noise: only the
+    # outside admixture keeps every zero cell at zero, and the verdict follows
+    # the Born table of the mixture
+    for n in (2, 3, 4):
+        for _ in range(5):
+            m = random_settings(n, rng)
+            sub = construct_hardy_state(m)
+            phi = sub.phi.amplitudes
+            u, _, _ = np.linalg.svd(sub.basis)
+            c = sub.basis[:, rng.integers(1, 2 * n)]
+            admixtures = {"constraint": np.outer(c, c.conj()), "noise": np.eye(2 ** n) / 2 ** n}
+            if n > 2:
+                admixtures["outside"] = np.outer(u[:, -1], u[:, -1].conj())
+            for kind, other in admixtures.items():
+                for w in (0.0, 0.1, 0.5):
+                    rho = DensityMatrix(n, (1 - w) * np.outer(phi, phi.conj()) + w * other)
+                    report = hardy_conditions(born_distribution(rho, m), delta_pos=0.0)
+                    verdict = mixed_state_check(rho, sub)
+                    assert verdict == (w == 0.0 or kind == "outside")
+                    assert verdict == (max(report.zero_residuals) < 1e-9)
+
+
+@pytest.mark.parametrize("n", (2, 4))
+def test_mixed_state_check_rejects_another_party_count(n):
     sub = construct_hardy_state(GHZ3_SETTINGS)
-    phi = sub.phi.amplitudes
-    for w in (0.0, 0.3):
-        _, _, vh = np.linalg.svd(sub.basis.conj().T)
-        chi = vh[-1].conj()
-        rho = DensityMatrix(3, (1 - w) * np.outer(phi, phi.conj())
-                            + w * np.outer(chi, chi.conj()))
-        d = born_distribution(rho, GHZ3_SETTINGS)
-        report = hardy_conditions(d, delta_pos=0.0)
-        assert mixed_state_check(rho, sub) == (max(report.zero_residuals) < 1e-9)
+    with pytest.raises(DimensionMismatch):
+        mixed_state_check(DensityMatrix(n, np.eye(2 ** n) / 2 ** n), sub)

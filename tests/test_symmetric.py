@@ -166,11 +166,11 @@ def test_degenerate_root_of_large_modulus_is_accepted():
     SymmetricState(5, [1, 0.008160489840026413 - 0.011034952712731853j, 0, 0, 0, 0]),
     SymmetricState(6, [0, 0, 0, 0, 0, 0.009183827099692274 + 0.01457214949847441j, 1]),
     SymmetricState(8, [-30.9987781119591 - 9.274651811667862j, 1, 0, 0, 0, 0, 0, 0, 0])))
-def test_degenerate_roots_pass_the_backward_error_check(s):
+def test_degenerate_roots_pass_the_backward_error_check(s, monkeypatch):
     # in the magic basis each has a degeneracy root of modulus 19 to 46 that an
     # absolute rank-1 threshold rejected, though its backward error is at rounding
     sol = solve_auto(s)
-    assert _matches_dense_oracle(s, sol.settings, 1e-8, 1e-10)
+    assert _matches_dense_oracle(s, sol.settings, 1e-10, monkeypatch)
 
 
 def test_degenerate_roots_make_the_reduced_state_rank_one(rng):
@@ -440,32 +440,39 @@ def test_solve_auto_w_end_to_end():
     assert report.passed
 
 
-def _reduced_check_passes(s, settings, eps_zero, delta_pos):
+def _reduced_outcome(s, settings, delta_pos):
+    """The O(n) check's success probability, or the class of the error it raises."""
     try:
-        _verified_p_success(_c_table(s), settings, eps_zero, delta_pos, "settings")
-    except (NumericalFailure, NotEntangled):
-        return False
-    return True
+        return _verified_p_success(_c_table(s), settings, delta_pos, "settings")
+    except (NumericalFailure, NotEntangled) as exc:
+        return type(exc)
 
 
-def _matches_dense_oracle(s, settings, eps_zero, delta_pos):
+def _matches_dense_oracle(s, settings, delta_pos, monkeypatch):
     """Compare the O(n) check with the Born table of the dense state: success
     probability to 1e-12 relative, largest zero residual to 1e-14 absolute
-    (the check passes just above the dense value and fails just below it), and
-    the verdict at the given bounds, which is returned."""
-    dense = hardy_conditions(born_distribution(dicke_expand(s), settings),
-                             eps_zero=eps_zero, delta_pos=delta_pos)
-    p = _verified_p_success(_c_table(s), settings, math.inf, -math.inf, "settings")
-    assert abs(p - dense.p_success) <= 1e-12 * dense.p_success
-    zero = max(dense.zero_residuals)
-    assert _reduced_check_passes(s, settings, zero + 1e-14, -math.inf)
-    assert not _reduced_check_passes(s, settings, zero - 1e-14, -math.inf)
-    assert _reduced_check_passes(s, settings, eps_zero, delta_pos) == dense.passed
-    return dense.passed
+    (the check passes with its zero bound just above the dense value and fails
+    just below it), and the verdict at the given floor, which is returned."""
+    dense = hardy_conditions(born_distribution(dicke_expand(s), settings), eps_zero=1.0)
+    p, zero = dense.p_success, max(dense.zero_residuals)
+    with monkeypatch.context() as m:
+        m.setattr(symmetric, "_ZERO_RATIO", math.inf)
+        if p > 0:
+            assert abs(_reduced_outcome(s, settings, -math.inf) - p) <= 1e-12 * p
+        else:  # the check's p is zero too, to below 1e-300
+            assert _reduced_outcome(s, settings, 1e-300) is NotEntangled
+        # at the floor 1, which no p exceeds, the zero bound is _ZERO_RATIO itself
+        m.setattr(symmetric, "_ZERO_RATIO", zero + 1e-14)
+        assert _reduced_outcome(s, settings, 1.0) is NotEntangled
+        m.setattr(symmetric, "_ZERO_RATIO", zero - 1e-14)
+        assert _reduced_outcome(s, settings, 1.0) is NumericalFailure
+    passed = zero < symmetric._ZERO_RATIO * max(p, delta_pos) and p > delta_pos
+    assert isinstance(_reduced_outcome(s, settings, delta_pos), float) == passed
+    return passed
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_reduced_check_matches_the_dense_oracle(n):
+def test_reduced_check_matches_the_dense_oracle(n, monkeypatch):
     # solve_auto's rotated-back settings pass both; with y nudged by 1e-3 both
     # reject them; past theta = pi / 4 GHZ states rotate from the south pole,
     # and a shared ray at the pole, a = |1>, must not be divided by a_0 = 0
@@ -474,13 +481,30 @@ def test_reduced_check_matches_the_dense_oracle(n):
     states += [SymmetricState.w(n), SymmetricState.ghz(n, 1.0), SymmetricState.ghz(n, 1.4)]
     for s in states:
         sol = solve_auto(s)
-        assert _matches_dense_oracle(s, sol.settings, 1e-8, 1e-10)
+        assert _matches_dense_oracle(s, sol.settings, 1e-10, monkeypatch)
         _, u = to_magic_basis(s)
         nudged = MeasurementSettings.from_shared_params(n, sol.x1, sol.y1, sol.x, sol.y + 1e-3)
-        assert not _matches_dense_oracle(s, nudged.transformed(u.conj().T), 1e-10, 0.0)
+        assert not _matches_dense_oracle(s, nudged.transformed(u.conj().T), 0.0, monkeypatch)
         pole = MeasurementSettings(n, ((random_ray(rng), random_ray(rng)),)
                                    + ((Ray(0.0, 1.0), random_ray(rng)),) * (n - 1))
-        assert not _matches_dense_oracle(s, pole, 1e-8, 1e-10)
+        assert not _matches_dense_oracle(s, pole, 1e-10, monkeypatch)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_verification_rejects_nudged_settings(n):
+    # the zero cells of a solution sit at rounding relative to its success
+    # probability; an absolute bound of 1e-8 accepts W_7 and W_8 and a share
+    # of random states with y nudged by 1e-3, the relative bound none of them
+    rng = np.random.default_rng(90 + n)
+    states = [random_symmetric(n, rng) for _ in range(20)]
+    states += [SymmetricState.w(n)] + [SymmetricState.ghz(n, t) for t in (0.3, 0.9, 1.2, 1.5)]
+    for s in states:
+        sol = solve_auto(s)
+        _, u = to_magic_basis(s)
+        for dy in (1e-3, 1e-3j):
+            nudged = MeasurementSettings.from_shared_params(n, sol.x1, sol.y1, sol.x, sol.y + dy)
+            with pytest.raises(NumericalFailure):
+                _verified_p_success(_c_table(s), nudged.transformed(u.conj().T), 1e-10, "nudged")
 
 
 def test_solve_auto_avoids_excluded_moduli():
