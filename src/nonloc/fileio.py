@@ -31,10 +31,25 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _list(v, what: str, size: int | None = None) -> list:
+    """v, if it is a JSON array, of size items when size is given."""
+    if not isinstance(v, list) or size is not None and len(v) != size:
+        raise ValueError(f"expected {what}, got {v!r}")
+    return v
+
+
+def _number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"number {v} is out of range") from None
+
+
 def _unpair(v) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    re, im = _list(v, "a [re, im] pair", 2)
+    return complex(_number(re), _number(im))
 
 
 def _field(obj: dict, key: str):
@@ -43,9 +58,28 @@ def _field(obj: dict, key: str):
     return obj[key]
 
 
+def _list_field(obj: dict, key: str) -> list:
+    return _list(_field(obj, key), f"a list in field {key!r}")
+
+
+def _party_count(obj: dict) -> int:
+    n = _field(obj, "n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"field 'n' must be an integer, got {n!r}")
+    return n
+
+
+def _ray(v) -> Ray:
+    c0, c1 = _list(v, "a ray [[re, im], [re, im]]", 2)
+    return Ray(_unpair(c0), _unpair(c1))
+
+
 def load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nesting too deep") from None
     if not isinstance(obj, dict):
         raise ValueError("top-level JSON value must be an object")
     return obj
@@ -53,34 +87,31 @@ def load_json(path) -> dict:
 
 def load_state(path) -> PureState:
     obj = load_json(path)
-    n = int(_field(obj, "n"))
-    amps = [_unpair(v) for v in _field(obj, "amplitudes")]
+    n = _party_count(obj)
+    amps = [_unpair(v) for v in _list_field(obj, "amplitudes")]
     return PureState(n, np.array(amps))
 
 
 def load_symmetric(path) -> SymmetricState:
     obj = load_json(path)
-    n = int(_field(obj, "n"))
-    h = [_unpair(v) for v in _field(obj, "h")]
+    n = _party_count(obj)
+    h = [_unpair(v) for v in _list_field(obj, "h")]
     return SymmetricState(n, np.array(h))
 
 
 def load_settings(path) -> MeasurementSettings:
     obj = load_json(path)
-    n = int(_field(obj, "n"))
-    pairs = []
-    for party in _field(obj, "parties"):
-        a = _field(party, "a")
-        b = _field(party, "b")
-        pairs.append((Ray(_unpair(a[0]), _unpair(a[1])),
-                      Ray(_unpair(b[0]), _unpair(b[1]))))
-    return MeasurementSettings(n, tuple(pairs))
+    n = _party_count(obj)
+    pairs = tuple((_ray(_field(party, "a")), _ray(_field(party, "b")))
+                  for party in _list_field(obj, "parties"))
+    return MeasurementSettings(n, pairs)
 
 
 def load_distribution(path) -> JointDistribution:
     obj = load_json(path)
-    n = int(_field(obj, "n"))
-    return JointDistribution(n, np.array(_field(obj, "p"), dtype=float))
+    n = _party_count(obj)
+    rows = [[_number(v) for v in _list(row, "a list as a row of 'p'")] for row in _list_field(obj, "p")]
+    return JointDistribution(n, np.array(rows))
 
 
 def state_payload(psi: PureState) -> dict:

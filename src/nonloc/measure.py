@@ -8,6 +8,7 @@ ray, outcome bit 1 the projector onto its orthogonal complement.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ class Ray:
     def __post_init__(self):
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
-        _check_finite(np.array([self.c0, self.c1]), "ray")
+        if not (cmath.isfinite(self.c0) and cmath.isfinite(self.c1)):
+            raise ValueError("ray contains NaN or infinite values")
         if abs(self.c0) ** 2 + abs(self.c1) ** 2 < 1e-24:
             raise ValueError("ray has numerically zero norm")
 
@@ -124,7 +126,7 @@ def _table(x: np.ndarray, n: int) -> np.ndarray:
     per party, party 1 first, to a 2^n x 2^n table t[s][r], with party 1 in
     the most significant bit of s and of r; leading axes are kept."""
     lead = x.shape[:-1]
-    axes = [*range(len(lead)), *(len(lead) + np.r_[0:2 * n:2, 1:2 * n:2])]
+    axes = [*range(len(lead)), *(len(lead) + k for r in (0, 1) for k in range(r, 2 * n, 2))]
     return x.reshape(lead + (2,) * (2 * n)).transpose(axes).reshape(lead + (2 ** n, 2 ** n))
 
 

@@ -172,7 +172,9 @@ def _newton_step(d_w: complex, d_wbar: complex, g: complex) -> complex:
         return -(d_w.conjugate() * g + d_wbar * g.conjugate()) / fro if fro else 0j
     rows = [((d_w + d_wbar).real, (d_wbar - d_w).imag, -g.real),
             ((d_w + d_wbar).imag, (d_w - d_wbar).real, -g.imag)]
-    (j00, j01, r0), (j10, j11, r1) = sorted(rows, key=lambda row: -abs(row[0]))
+    if abs(rows[1][0]) > abs(rows[0][0]):  # on a tie the first row stays
+        rows.reverse()
+    (j00, j01, r0), (j10, j11, r1) = rows
     m = j10 / j00
     dy = (r1 - m * r0) / (j11 - m * j01)
     return complex((r0 - j01 * dy) / j00, dy)
@@ -291,6 +293,16 @@ def haar_random_pure(n: int, seed: int) -> PureState:
     return PureState(n, v)
 
 
+@functools.cache
+def _dicke_cuts(n: int):
+    """For k = 1..n//2, the Hankel index i + j and the read-only weights
+    sqrt(C(k, i) C(n - k, j)) of the cut {1..k} | rest in its Dicke bases."""
+    return tuple((_frozen(np.add.outer(np.arange(k + 1), np.arange(n - k + 1))),
+                  _frozen(np.array([[math.sqrt(math.comb(k, i) * math.comb(n - k, j))
+                                     for j in range(n - k + 1)] for i in range(k + 1)])))
+                 for k in range(1, n // 2 + 1))
+
+
 def genuine_entanglement_check(psi: PureState | SymmetricState, eps: float) -> bool:
     """True when the state is entangled across every bipartition.
 
@@ -303,10 +315,7 @@ def genuine_entanglement_check(psi: PureState | SymmetricState, eps: float) -> b
     side that holds party 1.
     """
     if isinstance(psi, SymmetricState):
-        n = psi.n
-        mats = [np.array([[psi.h[i + j] * math.sqrt(math.comb(k, i) * math.comb(n - k, j))
-                           for j in range(n - k + 1)] for i in range(k + 1)])
-                for k in range(1, n // 2 + 1)]
+        mats = [psi.h[index] * weight for index, weight in _dicke_cuts(psi.n)]
     else:
         n, t = psi.n, psi.tensor()
         mats = [np.moveaxis(t, side, range(k)).reshape(2 ** k, -1)

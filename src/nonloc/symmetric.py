@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +85,11 @@ def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
     """Companion-matrix roots with up to two Newton correction steps each; a
     step is kept only where it strictly lowers |p|, so a root the companion
     matrix already has to rounding (a double root, say) stays put."""
+    return _polish(coeffs)[0]
+
+
+def _polish(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_polished_roots' roots and p at them, from the polish's last kept step."""
     roots = _companion_roots(coeffs)
     p_dp = np.stack([coeffs, np.append(np.arange(1, coeffs.size) * coeffs[1:], 0)])
     vals = _horner(p_dp, roots)
@@ -94,7 +99,7 @@ def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
         moved_vals = _horner(p_dp, moved)
         keep = np.abs(moved_vals[0]) < np.abs(vals[0])
         roots, vals = np.where(keep, moved, roots), np.where(keep, moved_vals, vals)
-    return roots
+    return roots, vals[0]
 
 
 def _degeneracy_coeffs(c: np.ndarray) -> np.ndarray:
@@ -107,13 +112,18 @@ def degenerate_x_roots(s: SymmetricState) -> tuple[complex, ...]:
     in ascending modulus.  Raises NotEntangled when the polynomial vanishes
     identically (a symmetric product state), and NumericalFailure for a root
     whose backward error |p(r)| exceeds 1e-12 sum_k |p_k| |r|^k."""
-    p = _trim(_degeneracy_coeffs(_c_table(s)))
+    return _degeneracy_roots(_c_table(s))
+
+
+def _degeneracy_roots(c: np.ndarray) -> tuple[complex, ...]:
+    """degenerate_x_roots for the c table c."""
+    p = _trim(_degeneracy_coeffs(c))
     if p.size == 0:
         raise NotEntangled("state is a symmetric product state")
     if p.size == 1:
         return ()
-    roots = _polished_roots(p)
-    bad = np.flatnonzero(np.abs(_horner(p, roots)) > 1e-12 * _horner(np.abs(p), np.abs(roots)))
+    roots, vals = _polish(p)
+    bad = np.flatnonzero(np.abs(vals) > 1e-12 * _horner(np.abs(p), np.abs(roots)))
     if bad.size:
         raise NumericalFailure(f"degeneracy root {roots[bad[0]]} fails the backward-error check")
     order = np.argsort(np.abs(roots), kind="stable")
@@ -141,7 +151,12 @@ def f_poly_roots(s: SymmetricState, w: float) -> tuple[float, ...]:
     F's complex coefficients, each near-real root t kept where |F(t)| <= 1e-8
     sum_k |f_k| max(t, 1)^k, and a split multiple root listed once.  Raises
     DegenerateX when F vanishes identically along the phase-w ray."""
-    f = _f_coeffs(_c_table(s), w)
+    return _f_roots(_c_table(s), w)
+
+
+def _f_roots(c: np.ndarray, w: float) -> tuple[float, ...]:
+    """f_poly_roots for the c table c."""
+    f = _f_coeffs(c, w)
     trimmed = _trim(f)
     if trimmed.size == 0:
         raise DegenerateX(f"success probability vanishes identically along phase {w}")
@@ -195,8 +210,9 @@ def _verified_p_success(c: np.ndarray, settings: MeasurementSettings,
     return p_success
 
 
-def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
-    """solve_settings at x, given the c table and the roots along x's phase."""
+def _assemble(c: np.ndarray, x: complex, deg, fr) -> dict:
+    """SymmetricSolution's fields but p_success at x, given the c table and the
+    roots along x's phase: the exclusion checks and the three divisions."""
     if c.shape[1] < 2:
         raise ValueError("symmetric solver requires at least 3 parties")
     for r in deg:
@@ -211,10 +227,16 @@ def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
     y1 = _safe_div(-(c0 + x * c1), c1 + x * c2, "y1")
     y = _safe_div(np.conj(c2) - y1 * np.conj(c1), np.conj(c1) - y1 * np.conj(c0), "y")
     x1 = _safe_div(-(c0 + y * c1), c1 + y * c2, "x1")
-    settings = MeasurementSettings.from_shared_params(c.shape[1] + 1, x1, y1, x, y)
-    p_success = _verified_p_success(c, settings, 0.0, "assembled settings")
-    return SymmetricSolution(complex(x), complex(y1), complex(y), complex(x1), settings,
-                             p_success, _merged_moduli([abs(r) for r in deg] + list(fr)))
+    return {"x": complex(x), "y1": complex(y1), "y": complex(y), "x1": complex(x1),
+            "settings": MeasurementSettings.from_shared_params(c.shape[1] + 1, x1, y1, x, y),
+            "excluded_x": _merged_moduli([abs(r) for r in deg] + list(fr))}
+
+
+def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
+    """solve_settings at x, given the c table and the roots along x's phase."""
+    fields = _assemble(c, x, deg, fr)
+    return SymmetricSolution(p_success=_verified_p_success(
+        c, fields["settings"], 0.0, "assembled settings"), **fields)
 
 
 def _merged_moduli(moduli, tol: float = 1e-12) -> tuple[float, ...]:
@@ -234,17 +256,18 @@ def solve_settings(s: SymmetricState, x: complex) -> SymmetricSolution:
     The assembled rays are |a_1> = |0> + x1*|1>, |b_1> = |0> + y1*|1>, and
     |a_k> = |0> + x*|1>, |b_k> = |0> + y*|1> on every other party.
     """
-    return _solve_at(_c_table(s), x, degenerate_x_roots(s), f_poly_roots(s, cmath.phase(x)))
+    c = _c_table(s)
+    return _solve_at(c, x, _degeneracy_roots(c), _f_roots(c, cmath.phase(x)))
 
 
 def sweep_settings(s: SymmetricState, w: float, moduli):
     """(t, solve_settings(s, t e^{iw})) for each modulus t that the settings
     exist at, with the roots along phase w and the c table computed once."""
+    c = _c_table(s)
     try:
-        deg, fr = degenerate_x_roots(s), f_poly_roots(s, w)
+        deg, fr = _degeneracy_roots(c), _f_roots(c, w)
     except DegenerateX:
         return
-    c = _c_table(s)
     for t in moduli:
         try:
             sol = _solve_at(c, t * cmath.exp(1j * w), deg, fr)
@@ -306,10 +329,11 @@ def solve_auto(s: SymmetricState) -> SymmetricSolution:
         raise NotEntangled("state is within eps of a product across some cut")
     sm, u = to_magic_basis(s)
     w = phase_pick(sm)
-    deg = degenerate_x_roots(sm)
-    fr = f_poly_roots(sm, w)
+    c = _c_table(sm)
+    deg = _degeneracy_roots(c)
+    fr = _f_roots(c, w)
     t = _pick_modulus(_merged_moduli([abs(r) for r in deg] + list(fr)))
-    sol = _solve_at(_c_table(sm), t * cmath.exp(1j * w), deg, fr)
-    settings = sol.settings.transformed(u.conj().T)
-    p = _verified_p_success(_c_table(s), settings, 1e-10, "rotated-back settings")
-    return replace(sol, settings=settings, p_success=p)
+    fields = _assemble(c, t * cmath.exp(1j * w), deg, fr)
+    fields["settings"] = fields["settings"].transformed(u.conj().T)
+    return SymmetricSolution(p_success=_verified_p_success(
+        _c_table(s), fields["settings"], 1e-10, "rotated-back settings"), **fields)

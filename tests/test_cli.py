@@ -154,6 +154,39 @@ def test_symmetric_x_on_a_phase_where_f_vanishes_is_excluded(tmp_path, capsys):
     assert out.out == "" and "excluded x" in out.err
 
 
+_GOOD_H = [[0.7071067811865476, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0]]
+_GOOD_RAYS = {"a": [[1.0, 0.0], [0.0, 0.0]], "b": [[1.0, 0.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("command, payload", (
+    ("symmetric", {"n": None, "h": _GOOD_H}),
+    ("symmetric", {"n": [3], "h": _GOOD_H}),
+    ("symmetric", {"n": 3.7, "h": _GOOD_H}),
+    ("symmetric", {"n": True, "h": _GOOD_H}),
+    ("symmetric", {"n": 3, "h": 5}),
+    ("symmetric", {"n": 3, "h": [[None, 0]] + _GOOD_H[1:]}),
+    ("symmetric", {"n": 3, "h": [[10 ** 400, 0]] + _GOOD_H[1:]}),
+    ("hardy", {"n": 3, "parties": [{**_GOOD_RAYS, "a": 5}] + [_GOOD_RAYS] * 2}),
+), ids=("n-null", "n-list", "n-float", "n-bool", "h-number", "h-null-part", "h-huge-int",
+       "settings-a-number"))
+def test_malformed_input_files_are_usage_errors(tmp_path, ghz_files, capsys, command, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    state, _ = ghz_files
+    argv = (["symmetric", str(bad)] if command == "symmetric"
+            else ["hardy", "--state", str(state), "--settings", str(bad)])
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "Traceback" not in out.err
+
+
+def test_deeply_nested_input_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"n": 3, "h": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["symmetric", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: JSON nesting too deep")
+
+
 def test_symmetric_ghz_needs_a_whole_party_count(capsys):
     assert main(["symmetric", "--ghz", "3.5", "0.7"]) == 2
     out = capsys.readouterr()

@@ -35,9 +35,11 @@ def test_ray_rejects_zero_vector():
 
 
 @pytest.mark.parametrize("c0, c1", ((np.nan, 0.0), (1.0, np.inf),
-                                    (complex(0.0, np.nan), 1.0)))
+                                    (complex(0.0, np.nan), 1.0), (np.inf, 1.0),
+                                    (complex(0.0, -np.inf), 1.0), (1.0, complex(0.0, np.nan)),
+                                    (0.5j, complex(np.nan, 1.0)), (1.0, complex(0.0, np.inf))))
 def test_ray_rejects_non_finite(c0, c1):
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match="^ray contains NaN or infinite values$"):
         Ray(c0, c1)
 
 

@@ -150,6 +150,29 @@ def test_newton_step_matches_lstsq():
         assert abs(_newton_step(d_w, d_wbar, g) - ref) <= 1e-12 * max(abs(ref), abs(g) / sigma_1)
 
 
+def test_newton_step_keeps_the_first_row_on_a_pivot_tie():
+    # |Re(d_w + d_wbar)| == |Im(d_w + d_wbar)|: elimination pivots on the
+    # first row, as a stable sort by -|j00| kept it
+    rng = np.random.default_rng(23)
+
+    def eliminate(rows):
+        (j00, j01, r0), (j10, j11, r1) = rows
+        m = j10 / j00
+        dy = (r1 - m * r0) / (j11 - m * j01)
+        return complex((r0 - j01 * dy) / j00, dy)
+
+    differs = 0
+    for d_w, d_wbar in ((2 + 0.5j, 1 + 2.5j), (2 + 0.5j, 1 - 3.5j)):
+        for _ in range(50):
+            g = complex(*rng.standard_normal(2))
+            rows = [((d_w + d_wbar).real, (d_wbar - d_w).imag, -g.real),
+                    ((d_w + d_wbar).imag, (d_w - d_wbar).real, -g.imag)]
+            assert abs(rows[0][0]) == abs(rows[1][0])
+            assert _newton_step(d_w, d_wbar, g) == eliminate(rows)
+            differs += eliminate(rows) != eliminate(rows[::-1])
+    assert differs > 0  # the pivot order shows in the last bits
+
+
 def test_cached_bloch_grid_is_read_only():
     for arr in qstate._bloch_grid(5):
         assert not arr.flags.writeable
@@ -337,6 +360,24 @@ def test_symmetric_entanglement_check_matches_all_cuts(n):
             assert_symmetric_check_agrees(s, eps)
         assert genuine_entanglement_check(s, m * (1 - 1e-6))
         assert not genuine_entanglement_check(s, m * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cached_dicke_cuts_match_the_cut_matrices(n):
+    # h[i + j] sqrt(C(k, i) C(n - k, j)) element by element, bit for bit
+    rng = np.random.default_rng(300 + n)
+    states = [random_symmetric(n, rng, entangled=False) for _ in range(5)]
+    states += [SymmetricState.ghz(n, 0.3), SymmetricState.w(n),
+               SymmetricState(n, rng.standard_normal(n + 1))]
+    cuts = qstate._dicke_cuts(n)
+    assert len(cuts) == n // 2
+    for k, (index, weight) in enumerate(cuts, start=1):
+        assert not index.flags.writeable and not weight.flags.writeable
+        for s in states:
+            ref = np.array([[s.h[i + j] * math.sqrt(math.comb(k, i) * math.comb(n - k, j))
+                             for j in range(n - k + 1)] for i in range(k + 1)])
+            got = s.h[index] * weight
+            assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
 
 @pytest.mark.parametrize("n", range(3, 9))

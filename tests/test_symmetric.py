@@ -14,8 +14,8 @@ from nonloc import (DegenerateX, MeasurementSettings, NotEntangled,
                     to_magic_basis, w_closed_form)
 from nonloc import symmetric
 from nonloc.symmetric import (_c_table, _companion_roots, _degeneracy_coeffs, _f_coeffs,
-                              _horner, _polished_roots, _verified_p_success,
-                              sweep_settings)
+                              _horner, _merged_moduli, _pick_modulus, _polished_roots,
+                              _verified_p_success, sweep_settings)
 from conftest import NEAR_PRODUCT, near_product, random_ray, random_symmetric
 
 GHZ34 = SymmetricState.ghz(3, np.pi / 4)
@@ -368,13 +368,53 @@ def test_sweep_settings_matches_solve_settings(rng):
 
 
 def test_sweep_builds_one_c_table(monkeypatch):
-    # the degeneracy roots, the F roots and the sweep's own solves each build
-    # the table once, however many moduli the sweep tries
+    # the degeneracy roots, the F roots and the sweep's own solves share one
+    # table, however many moduli the sweep tries
     calls = []
     table = symmetric._c_table
     monkeypatch.setattr(symmetric, "_c_table", lambda s: calls.append(s) or table(s))
     got = list(sweep_settings(GHZ34, np.pi / 2, np.arange(0.05, 3.0, 0.025)))
-    assert len(got) > 100 and len(calls) == 3
+    assert len(got) > 100 and len(calls) == 1
+
+
+def _composed_solve_auto(s):
+    # solve_auto composed of the public root finders, a one-modulus sweep (its
+    # own c table and a certificate in the magic basis) and the certificate of
+    # the rotated-back settings on the original state
+    sm, u = to_magic_basis(s)
+    w = phase_pick(sm)
+    deg, fr = degenerate_x_roots(sm), f_poly_roots(sm, w)
+    t = _pick_modulus(_merged_moduli([abs(r) for r in deg] + list(fr)))
+    [(_, sol)] = sweep_settings(sm, w, [t])
+    settings = sol.settings.transformed(u.conj().T)
+    p = _verified_p_success(_c_table(s), settings, 1e-10, "rotated-back settings")
+    return sol, settings, p
+
+
+def _solution_bits(x, y1, y, x1, settings, p_success, excluded_x):
+    rays = [(r.c0, r.c1) for pair in settings.pairs for r in pair]
+    return [_bits(v) for v in ([x, y1, y, x1], rays, p_success, excluded_x)]
+
+
+def test_solve_auto_is_the_composed_pipeline_bit_for_bit():
+    rng = np.random.default_rng(1017)
+    states = []
+    for n in range(3, 9):
+        states += [random_symmetric(n, rng) for _ in range(20)]
+        states += [SymmetricState.ghz(n, theta) for theta in np.linspace(0.1, 1.5, 8)]
+        states.append(SymmetricState.w(n))
+        for _ in range(6):
+            k, j = rng.choice(n + 1, 2, replace=False)
+            h = np.zeros(n + 1, dtype=complex)
+            h[k], h[j] = 1.0, rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random())
+            states.append(SymmetricState(n, h))
+    assert len(states) >= 200
+    for s in states:
+        got = solve_auto(s)
+        sol, settings, p = _composed_solve_auto(s)
+        assert (_solution_bits(got.x, got.y1, got.y, got.x1, got.settings, got.p_success,
+                               got.excluded_x)
+                == _solution_bits(sol.x, sol.y1, sol.y, sol.x1, settings, p, sol.excluded_x))
 
 
 def test_sweep_settings_is_empty_where_f_vanishes_identically():
