@@ -26,8 +26,7 @@ from .qstate import (DensityMatrix, PureState, SymmetricState, closest_product_s
                      to_magic_basis)
 from .search import (ExperimentRecord, ExperimentSummary, NoSettingsFound,
                      SearchConfig, find_settings, random_experiment)
-from .symmetric import (SymmetricSolution, degenerate_x_roots, f_poly_roots,
-                        ghz_closed_form, phase_pick, solve_auto,
+from .symmetric import (SymmetricSolution, ghz_closed_form, phase_pick, solve_auto,
                         solve_settings, w_closed_form)
 
 __all__ = [
@@ -42,8 +41,7 @@ __all__ = [
     "born_distribution", "ns_residual",
     "HardyReport", "HardySubspace", "condition_cells", "hardy_conditions",
     "inequality1", "inequality2", "construct_hardy_state", "mixed_state_check",
-    "SymmetricSolution", "degenerate_x_roots",
-    "f_poly_roots", "phase_pick", "solve_settings",
+    "SymmetricSolution", "phase_pick", "solve_settings",
     "solve_auto", "ghz_closed_form", "w_closed_form",
     "ModelVertexSet", "LPOutcome", "ns_bipartite_vertices",
     "deterministic_local_vertices", "bilocal_ns_vertices", "lp_membership",

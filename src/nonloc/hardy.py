@@ -73,22 +73,17 @@ def condition_cells(n: int, pivot: int = 1,
     return tuple(_frozen(a) for a in np.array(cells).T)
 
 
-def _check_tolerances(eps_zero: float, delta_pos: float) -> None:
-    """Raise ValueError unless eps_zero is positive and delta_pos nonnegative,
-    both finite: a negative success threshold would pass tables whose success
-    cell is zero, and no residual is below a zero eps_zero."""
-    if not (math.isfinite(eps_zero) and eps_zero > 0.0):
-        raise ValueError(f"eps_zero must be finite and positive, got {eps_zero}")
-    if not (math.isfinite(delta_pos) and delta_pos >= 0.0):
-        raise ValueError(f"delta_pos must be finite and nonnegative, got {delta_pos}")
-
-
 def hardy_conditions(d: JointDistribution, pivot: int = 1, eps_zero: float = 1e-9,
                      delta_pos: float = 1e-6, standard: bool = False) -> HardyReport:
     """Evaluate the test conditions on a joint distribution; zero_residuals
     follow the order of `condition_cells`.  eps_zero must be positive and
     delta_pos nonnegative, both finite, or ValueError is raised."""
-    _check_tolerances(eps_zero, delta_pos)
+    # a negative success threshold would pass tables whose success cell is
+    # zero, and no residual is below a zero eps_zero
+    if not (math.isfinite(eps_zero) and eps_zero > 0.0):
+        raise ValueError(f"eps_zero must be finite and positive, got {eps_zero}")
+    if not (math.isfinite(delta_pos) and delta_pos >= 0.0):
+        raise ValueError(f"delta_pos must be finite and nonnegative, got {delta_pos}")
     values = d.p[condition_cells(d.n, pivot, standard)]
     p_success = float(values[0])
     residuals = tuple(np.abs(values[1:]).tolist())

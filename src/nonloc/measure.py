@@ -66,10 +66,6 @@ class MeasurementSettings:
         rest = (Ray.from_param(x), Ray.from_param(y))
         return cls(n, (first,) + (rest,) * (n - 1))
 
-    @classmethod
-    def identical(cls, n: int, a: Ray, b: Ray) -> "MeasurementSettings":
-        return cls(n, ((a, b),) * n)
-
     def outcome_bras(self) -> list[np.ndarray]:
         """Each party's four outcome bras as one 4 x 2 array, row
         2 * setting bit + outcome bit: the conjugated unit ray (c0, c1)*, then

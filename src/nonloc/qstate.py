@@ -114,6 +114,7 @@ class SymmetricState:
     @classmethod
     def ghz(cls, n: int, theta: float) -> "SymmetricState":
         """cos(theta)|0..0> + sin(theta)|1..1>."""
+        _check_n(n)
         h = np.zeros(n + 1, dtype=complex)
         h[0] = math.cos(theta)
         h[n] = math.sin(theta)
@@ -122,6 +123,7 @@ class SymmetricState:
     @classmethod
     def w(cls, n: int) -> "SymmetricState":
         """Equal superposition of the n single-excitation basis states."""
+        _check_n(n)
         h = np.zeros(n + 1, dtype=complex)
         h[1] = 1.0 / math.sqrt(n)
         return cls(n, h)

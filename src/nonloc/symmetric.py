@@ -81,15 +81,11 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvals(mat))
 
 
-def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots with up to two Newton correction steps each; a
-    step is kept only where it strictly lowers |p|, so a root the companion
-    matrix already has to rounding (a double root, say) stays put."""
-    return _polish(coeffs)[0]
-
-
 def _polish(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_polished_roots' roots and p at them, from the polish's last kept step."""
+    """Companion-matrix roots with up to two Newton correction steps each, and
+    p at them from the last kept step; a step is kept only where it strictly
+    lowers |p|, so a root the companion matrix already has to rounding (a
+    double root, say) stays put."""
     roots = _companion_roots(coeffs)
     p_dp = np.stack([coeffs, np.append(np.arange(1, coeffs.size) * coeffs[1:], 0)])
     vals = _horner(p_dp, roots)
@@ -98,6 +94,8 @@ def _polish(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         moved = np.where(safe, roots - vals[0] / np.where(safe, vals[1], 1.0), roots)
         moved_vals = _horner(p_dp, moved)
         keep = np.abs(moved_vals[0]) < np.abs(vals[0])
+        if not keep.any():  # a second pass from the same roots would repeat this one
+            break
         roots, vals = np.where(keep, moved, roots), np.where(keep, moved_vals, vals)
     return roots, vals[0]
 
@@ -107,16 +105,12 @@ def _degeneracy_coeffs(c: np.ndarray) -> np.ndarray:
     return np.convolve(c[1], c[1]) - np.convolve(c[0], c[2])
 
 
-def degenerate_x_roots(s: SymmetricState) -> tuple[complex, ...]:
-    """Roots of c1^2 - c0*c2, where the reduced two-qubit state degenerates,
-    in ascending modulus.  Raises NotEntangled when the polynomial vanishes
-    identically (a symmetric product state), and NumericalFailure for a root
-    whose backward error |p(r)| exceeds 1e-12 sum_k |p_k| |r|^k."""
-    return _degeneracy_roots(_c_table(s))
-
-
 def _degeneracy_roots(c: np.ndarray) -> tuple[complex, ...]:
-    """degenerate_x_roots for the c table c."""
+    """Roots of c1^2 - c0*c2 for the c table c, where the reduced two-qubit
+    state degenerates, in ascending modulus.  Raises NotEntangled when the
+    polynomial vanishes identically (a symmetric product state), and
+    NumericalFailure for a root whose backward error |p(r)| exceeds
+    1e-12 sum_k |p_k| |r|^k."""
     p = _trim(_degeneracy_coeffs(c))
     if p.size == 0:
         raise NotEntangled("state is a symmetric product state")
@@ -146,23 +140,19 @@ def _f_coeffs(c: np.ndarray, w: float) -> np.ndarray:
     return f
 
 
-def f_poly_roots(s: SymmetricState, w: float) -> tuple[float, ...]:
-    """Ascending nonnegative t at which F(t e^{iw}) = 0: one companion solve on
-    F's complex coefficients, each near-real root t kept where |F(t)| <= 1e-8
-    sum_k |f_k| max(t, 1)^k, and a split multiple root listed once.  Raises
-    DegenerateX when F vanishes identically along the phase-w ray."""
-    return _f_roots(_c_table(s), w)
-
-
 def _f_roots(c: np.ndarray, w: float) -> tuple[float, ...]:
-    """f_poly_roots for the c table c."""
+    """Ascending nonnegative t at which F(t e^{iw}) = 0 for the c table c: one
+    companion solve on F's complex coefficients, each near-real root t kept
+    where |F(t)| <= 1e-8 sum_k |f_k| max(t, 1)^k, and a split multiple root
+    listed once.  Raises DegenerateX when F vanishes identically along the
+    phase-w ray."""
     f = _f_coeffs(c, w)
     trimmed = _trim(f)
     if trimmed.size == 0:
         raise DegenerateX(f"success probability vanishes identically along phase {w}")
     if trimmed.size == 1:
         return ()
-    r = _polished_roots(trimmed)
+    r = _polish(trimmed)[0]
     t = np.maximum(r.real[(np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r.real)))
                           & (r.real >= -1e-10)], 0.0)
     scale = np.abs(f) @ np.maximum(t, 1.0) ** np.arange(f.size)[:, None]
@@ -210,9 +200,21 @@ def _verified_p_success(c: np.ndarray, settings: MeasurementSettings,
     return p_success
 
 
-def _assemble(c: np.ndarray, x: complex, deg, fr) -> dict:
-    """SymmetricSolution's fields but p_success at x, given the c table and the
-    roots along x's phase: the exclusion checks and the three divisions."""
+def _assemble(c: np.ndarray, x: complex) -> dict:
+    """SymmetricSolution's x, y1, y, x1 and settings at x, given the c table:
+    the three divisions."""
+    # row by row: a stacked pass uses array products, which move y in the last bit
+    c0, c1, c2 = (complex(_horner(row, x)) for row in c)
+    y1 = _safe_div(-(c0 + x * c1), c1 + x * c2, "y1")
+    y = _safe_div(np.conj(c2) - y1 * np.conj(c1), np.conj(c1) - y1 * np.conj(c0), "y")
+    x1 = _safe_div(-(c0 + y * c1), c1 + y * c2, "x1")
+    return {"x": complex(x), "y1": complex(y1), "y": complex(y), "x1": complex(x1),
+            "settings": MeasurementSettings.from_shared_params(c.shape[1] + 1, x1, y1, x, y)}
+
+
+def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
+    """solve_settings at x, given the c table and the roots along x's phase:
+    the exclusion checks, the three divisions and the certificate."""
     if c.shape[1] < 2:
         raise ValueError("symmetric solver requires at least 3 parties")
     for r in deg:
@@ -222,21 +224,10 @@ def _assemble(c: np.ndarray, x: complex, deg, fr) -> dict:
         if abs(abs(x) - t) < _EXCLUSION_MARGIN:
             raise DegenerateX(
                 f"|x| = {abs(x)} is within {_EXCLUSION_MARGIN} of excluded modulus {t}")
-    # row by row: a stacked pass uses array products, which move y in the last bit
-    c0, c1, c2 = (complex(_horner(row, x)) for row in c)
-    y1 = _safe_div(-(c0 + x * c1), c1 + x * c2, "y1")
-    y = _safe_div(np.conj(c2) - y1 * np.conj(c1), np.conj(c1) - y1 * np.conj(c0), "y")
-    x1 = _safe_div(-(c0 + y * c1), c1 + y * c2, "x1")
-    return {"x": complex(x), "y1": complex(y1), "y": complex(y), "x1": complex(x1),
-            "settings": MeasurementSettings.from_shared_params(c.shape[1] + 1, x1, y1, x, y),
-            "excluded_x": _merged_moduli([abs(r) for r in deg] + list(fr))}
-
-
-def _solve_at(c: np.ndarray, x: complex, deg, fr) -> SymmetricSolution:
-    """solve_settings at x, given the c table and the roots along x's phase."""
-    fields = _assemble(c, x, deg, fr)
-    return SymmetricSolution(p_success=_verified_p_success(
-        c, fields["settings"], 0.0, "assembled settings"), **fields)
+    fields = _assemble(c, x)
+    return SymmetricSolution(
+        p_success=_verified_p_success(c, fields["settings"], 0.0, "assembled settings"),
+        excluded_x=_merged_moduli([abs(r) for r in deg] + list(fr)), **fields)
 
 
 def _merged_moduli(moduli, tol: float = 1e-12) -> tuple[float, ...]:
@@ -330,10 +321,11 @@ def solve_auto(s: SymmetricState) -> SymmetricSolution:
     sm, u = to_magic_basis(s)
     w = phase_pick(sm)
     c = _c_table(sm)
-    deg = _degeneracy_roots(c)
-    fr = _f_roots(c, w)
-    t = _pick_modulus(_merged_moduli([abs(r) for r in deg] + list(fr)))
-    fields = _assemble(c, t * cmath.exp(1j * w), deg, fr)
+    # no exclusion checks: _pick_modulus keeps |x| _MODULUS_MARGIN from each
+    # excluded modulus, and |x - r| >= ||x| - |r|| for each degeneracy root r
+    excluded = _merged_moduli([abs(r) for r in _degeneracy_roots(c)] + list(_f_roots(c, w)))
+    fields = _assemble(c, _pick_modulus(excluded) * cmath.exp(1j * w))
     fields["settings"] = fields["settings"].transformed(u.conj().T)
     return SymmetricSolution(p_success=_verified_p_success(
-        _c_table(s), fields["settings"], 1e-10, "rotated-back settings"), **fields)
+        _c_table(s), fields["settings"], 1e-10, "rotated-back settings"),
+        excluded_x=excluded, **fields)

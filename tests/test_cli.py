@@ -27,7 +27,7 @@ def test_distribution_ghz_z_settings(tmp_path):
     out = tmp_path / "dist.json"
     fileio.write_json(state, fileio.state_payload(
         dicke_expand(SymmetricState.ghz(3, np.pi / 4))))
-    z = MeasurementSettings.identical(3, Ray(1.0, 0.0), Ray(1.0, 1.0))
+    z = MeasurementSettings(3, ((Ray(1.0, 0.0), Ray(1.0, 1.0)),) * 3)
     fileio.write_json(settings, fileio.settings_payload(z))
     assert main(["distribution", str(state), str(settings), str(out)]) == 0
     table = json.loads(out.read_text())
@@ -49,7 +49,7 @@ def test_distribution_dimension_mismatch(tmp_path, capsys):
     settings = tmp_path / "settings.json"
     fileio.write_json(state, fileio.state_payload(
         dicke_expand(SymmetricState.ghz(3, np.pi / 4))))
-    z4 = MeasurementSettings.identical(4, Ray(1.0, 0.0), Ray(1.0, 1.0))
+    z4 = MeasurementSettings(4, ((Ray(1.0, 0.0), Ray(1.0, 1.0)),) * 4)
     fileio.write_json(settings, fileio.settings_payload(z4))
     assert main(["distribution", str(state), str(settings),
                  str(tmp_path / "out.json")]) == 2
@@ -191,6 +191,14 @@ def test_symmetric_ghz_needs_a_whole_party_count(capsys):
     assert main(["symmetric", "--ghz", "3.5", "0.7"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "whole number of parties" in out.err
+
+
+@pytest.mark.parametrize("flags", (["--w", "0"], ["--w", "-1"], ["--ghz", "-1", "0.7"]))
+def test_symmetric_rejects_a_party_count_out_of_range(capsys, flags):
+    assert main(["symmetric"] + flags) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: party count must be between 2 and")
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("x", ("nan,0", "1,inf"))

@@ -141,7 +141,7 @@ def test_standard_variant_ghz():
     # identical settings on every party pass the all-ones variant with p = 1/8
     a = Ray.from_param(cmath.exp(-1j * np.pi / 6))
     b = Ray.from_param(-cmath.exp(1j * np.pi / 3))
-    s = MeasurementSettings.identical(3, a, b)
+    s = MeasurementSettings(3, ((a, b),) * 3)
     d = born_distribution(GHZ3, s)
     standard = hardy_conditions(d, standard=True)
     assert standard.passed
@@ -154,7 +154,7 @@ def test_pivot_choice_is_immaterial_for_symmetric_settings():
     # depend on which party anchors the pairwise conditions
     a = Ray.from_param(cmath.exp(-1j * np.pi / 6))
     b = Ray.from_param(-cmath.exp(1j * np.pi / 3))
-    d = born_distribution(GHZ3, MeasurementSettings.identical(3, a, b))
+    d = born_distribution(GHZ3, MeasurementSettings(3, ((a, b),) * 3))
     for standard in (False, True):
         verdicts = {hardy_conditions(d, pivot=k, standard=standard).passed
                     for k in (1, 2, 3)}
@@ -216,7 +216,7 @@ def test_construct_output_passes_conditions(rng):
 def test_construct_rejects_parallel_settings():
     r = Ray(1.0, 0.5)
     with pytest.raises(DegenerateSettings):
-        construct_hardy_state(MeasurementSettings.identical(3, r, r))
+        construct_hardy_state(MeasurementSettings(3, ((r, r),) * 3))
 
 
 def test_mixed_state_check_accepts_the_constructed_state():

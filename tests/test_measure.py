@@ -14,7 +14,7 @@ PLUS = Ray(1.0, 1.0)
 
 
 def z_settings(n):
-    return MeasurementSettings.identical(n, Ray(1.0, 0.0), PLUS)
+    return MeasurementSettings(n, ((Ray(1.0, 0.0), PLUS),) * n)
 
 
 def test_ray_normalization_and_orthogonal():
@@ -70,7 +70,7 @@ def test_ghz_z_basis_distribution():
 
 def test_ghz_x_basis_parity():
     # all parties measuring in the x basis see even parity only
-    x = MeasurementSettings.identical(3, PLUS, Ray(1.0, 0.0))
+    x = MeasurementSettings(3, ((PLUS, Ray(1.0, 0.0)),) * 3)
     d = born_distribution(GHZ3, x)
     for r in range(8):
         expected = 0.25 if bin(r).count("1") % 2 == 0 else 0.0

@@ -9,12 +9,13 @@ from numpy.polynomial import polynomial as npoly
 from nonloc import (DegenerateX, MeasurementSettings, NotEntangled,
                     NumericalFailure, Ray, SingularDenominator,
                     SymmetricState, born_distribution, closest_product_state,
-                    degenerate_x_roots, dicke_expand, f_poly_roots, ghz_closed_form,
+                    dicke_expand, ghz_closed_form,
                     hardy_conditions, phase_pick, solve_auto, solve_settings,
                     to_magic_basis, w_closed_form)
 from nonloc import symmetric
-from nonloc.symmetric import (_c_table, _companion_roots, _degeneracy_coeffs, _f_coeffs,
-                              _horner, _merged_moduli, _pick_modulus, _polished_roots,
+from nonloc.symmetric import (_c_table, _companion_roots, _degeneracy_coeffs,
+                              _degeneracy_roots, _f_coeffs, _f_roots, _horner,
+                              _merged_moduli, _pick_modulus, _polish,
                               _verified_p_success, sweep_settings)
 from conftest import NEAR_PRODUCT, near_product, random_ray, random_symmetric
 
@@ -24,6 +25,14 @@ W3 = SymmetricState.w(3)
 
 def _c_at(s, x):
     return [npoly.polyval(x, row) for row in _c_table(s)]
+
+
+def _deg_roots(s):
+    return _degeneracy_roots(_c_table(s))
+
+
+def _f_roots_of(s, w):
+    return _f_roots(_c_table(s), w)
 
 
 def test_c_coeffs_ghz():
@@ -73,7 +82,7 @@ def test_polish_keeps_polyvals_newton_steps_that_lower_p(rng):
                 chain.append(np.where(safe, chain[-1] - num / np.where(safe, den, 1.0), chain[-1]))
             size = [np.abs(npoly.polyval(roots, p)) for roots in chain]
             kept = (size[1] < size[0]) * (1 + (size[2] < size[1]))
-            got = _polished_roots(p)
+            got = _polish(p)[0]
             for k in range(got.size):
                 assert _bits(got[k]) == _bits(chain[kept[k]][k])
             assert (np.abs(npoly.polyval(got, p)) <= size[0]).all()
@@ -87,6 +96,21 @@ def test_polish_keeps_a_double_root():
     s = SymmetricState(3, [0, 0.415954592009539 + 0.4003936946550373j, 0, 0])
     sol = solve_auto(s)
     assert sol.p_success > 1e-3
+
+
+def test_polish_stops_after_a_pass_that_keeps_no_step(monkeypatch):
+    # the companion roots of (x - 1)(x - 2) are exact, so no step lowers
+    # |p| = 0 and a second pass would only repeat the first; x^3 - 1's roots
+    # are off by an ulp, and the first pass keeps a step
+    calls = []
+    horner = symmetric._horner
+    monkeypatch.setattr(symmetric, "_horner", lambda c, x: calls.append(x) or horner(c, x))
+    roots, vals = _polish(np.array([2.0, -3.0, 1.0]))
+    assert roots.tolist() == [1.0, 2.0] and not vals.any()
+    assert len(calls) == 2    # the companion roots and one pass
+    calls.clear()
+    _polish(np.array([-1.0, 0.0, 0.0, 1.0]))
+    assert len(calls) == 3
 
 
 def _npoly_degeneracy(c):
@@ -141,7 +165,7 @@ def test_companion_roots_match_polyroots(rng):
 
 
 def test_degenerate_roots_ghz():
-    roots = degenerate_x_roots(GHZ34)
+    roots = _deg_roots(GHZ34)
     assert len(roots) == 1
     assert abs(roots[0]) < 1e-10
 
@@ -179,7 +203,7 @@ def test_degenerate_roots_make_the_reduced_state_rank_one(rng):
     for n in range(3, 9):
         for _ in range(5):
             s = random_symmetric(n, rng)
-            for r in degenerate_x_roots(s):
+            for r in _deg_roots(s):
                 if abs(r) <= 2:
                     c0, c1, c2 = _c_at(s, r)
                     sv = np.linalg.svd([[c0, c1], [c1, c2]], compute_uv=False)
@@ -189,34 +213,34 @@ def test_degenerate_roots_make_the_reduced_state_rank_one(rng):
 
 
 def test_degenerate_roots_w_empty():
-    assert degenerate_x_roots(W3) == ()
+    assert _deg_roots(W3) == ()
 
 
 def test_degenerate_roots_product_state_raises():
     h = np.array([1.0, 0.5, 0.25, 0.125])
     with pytest.raises(NotEntangled):
-        degenerate_x_roots(SymmetricState(3, h))
+        _deg_roots(SymmetricState(3, h))
 
 
 def test_f_roots_ghz_vertical_phase():
-    roots = f_poly_roots(GHZ34, np.pi / 2)
+    roots = _f_roots_of(GHZ34, np.pi / 2)
     assert any(abs(t - 1.0) < 1e-8 for t in roots)
     assert all(t >= 0 for t in roots)
 
 
 def test_f_roots_take_one_companion_solve(monkeypatch):
     calls = []
-    polished = symmetric._polished_roots
-    monkeypatch.setattr(symmetric, "_polished_roots", lambda p: calls.append(p) or polished(p))
+    polish = symmetric._polish
+    monkeypatch.setattr(symmetric, "_polish", lambda p: calls.append(p) or polish(p))
     for s in (GHZ34, W3, SymmetricState.ghz(6, 0.4)):
         calls.clear()
-        f_poly_roots(s, 0.3)
+        _f_roots_of(s, 0.3)
         assert len(calls) == 1 and np.iscomplexobj(calls[0])
 
 
 def test_f_roots_list_each_multiple_root_once():
     # F(t) = -t (t - 1)^2 (t + 1) (t + 2) / 4 along phase 0
-    roots = f_poly_roots(SymmetricState(4, [1, 0, 0, 0.5, 0]), 0.0)
+    roots = _f_roots_of(SymmetricState(4, [1, 0, 0, 0.5, 0]), 0.0)
     assert len(roots) == 2 and roots[0] == 0.0 and abs(roots[1] - 1.0) <= 1e-8
     # along phase pi / 2 F of a two-term state often has a multiple root at 0;
     # its split copies must not be listed as roots of their own
@@ -227,7 +251,7 @@ def test_f_roots_list_each_multiple_root_once():
             i, j = rng.choice(n + 1, 2, replace=False)
             h[i] = 1
             h[j] = 10 ** rng.uniform(-3, 2) * cmath.exp(2j * math.pi * rng.uniform())
-            roots = f_poly_roots(SymmetricState(n, h), math.pi / 2)
+            roots = _f_roots_of(SymmetricState(n, h), math.pi / 2)
             assert not any(0 < t < 1e-6 for t in roots), (n, h, roots)
 
 
@@ -289,7 +313,7 @@ def _assert_records_each_root_once(s) -> int:
     once; returns how many near-duplicates of the raw union it merged."""
     got = solve_auto(s).excluded_x
     sm, _ = to_magic_basis(s)
-    union = {abs(r) for r in degenerate_x_roots(sm)} | set(f_poly_roots(sm, phase_pick(sm)))
+    union = {abs(r) for r in _deg_roots(sm)} | set(_f_roots_of(sm, phase_pick(sm)))
     assert set(got) <= union
     assert all(min(abs(t - g) for g in got) <= 1e-12 * max(1.0, t) for t in union)
     assert all(b - a > 1e-12 * max(1.0, b) for a, b in zip(got, got[1:])), got
@@ -335,13 +359,13 @@ def test_solve_settings_raises_within_margin_of_each_root(rng):
     # GHZ34 has the F root |x| = 1 along phase pi / 2; the others only |x| = 0
     tried = 0
     for sm in [GHZ34] + [to_magic_basis(random_symmetric(n, rng))[0] for n in (3, 4, 5, 6)]:
-        deg = degenerate_x_roots(sm)
+        deg = _deg_roots(sm)
         for r in deg:
             with pytest.raises(DegenerateX, match="degeneracy root"):
                 solve_settings(sm, r + 3e-7 * cmath.exp(1j * r.imag))
             tried += 1
         w = phase_pick(sm)
-        for t in f_poly_roots(sm, w):
+        for t in _f_roots_of(sm, w):
             x = (t + 3e-7) * cmath.exp(1j * w)
             if all(abs(x - r) >= 1e-6 for r in deg):  # else that check fires first
                 with pytest.raises(DegenerateX, match="excluded modulus"):
@@ -378,12 +402,13 @@ def test_sweep_builds_one_c_table(monkeypatch):
 
 
 def _composed_solve_auto(s):
-    # solve_auto composed of the public root finders, a one-modulus sweep (its
-    # own c table and a certificate in the magic basis) and the certificate of
-    # the rotated-back settings on the original state
+    # solve_auto composed of the root finders on their own c table, a
+    # one-modulus sweep (its own c table and a certificate in the magic basis)
+    # and the certificate of the rotated-back settings on the original state
     sm, u = to_magic_basis(s)
     w = phase_pick(sm)
-    deg, fr = degenerate_x_roots(sm), f_poly_roots(sm, w)
+    c = _c_table(sm)
+    deg, fr = _degeneracy_roots(c), _f_roots(c, w)
     t = _pick_modulus(_merged_moduli([abs(r) for r in deg] + list(fr)))
     [(_, sol)] = sweep_settings(sm, w, [t])
     settings = sol.settings.transformed(u.conj().T)
